@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the program importable: ``pytest perf/tests``."""
+
+import sys
+from pathlib import Path
+
+PERF = Path(__file__).resolve().parent.parent
+for path in (PERF, PERF.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
