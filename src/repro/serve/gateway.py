@@ -49,6 +49,7 @@ from repro.serve.requests import SpectralResponse
 from repro.serve.scheduler import Batch, EdfCoalesceScheduler, QueuedRequest
 from repro.serve.service import SpectralService
 from repro.serve.traffic import TimedArrival
+from repro.timing import WallTimer
 from repro.util.validation import check_positive_float
 
 __all__ = ["Gateway", "GatewayMetrics"]
@@ -315,8 +316,10 @@ class Gateway(SpectralService):
         """
         responses: dict[int, SpectralResponse] = {}
         forwarded: dict = {}
-        for batch in self.scheduler.drain():
-            self._dispatch(batch, responses, forwarded)
+        with WallTimer() as timer:
+            for batch in self.scheduler.drain():
+                self._dispatch(batch, responses, forwarded)
+        self._wall_seconds += timer.seconds
         return responses
 
     def _dispatch(self, batch: Batch, responses: dict, forwarded: dict) -> None:

@@ -343,17 +343,27 @@ class CSRMatrix:
         return sums
 
     def is_symmetric(self, tolerance: float = 0.0) -> bool:
-        """True if ``|A - A.T|`` never exceeds ``tolerance`` entrywise."""
+        """True if ``|A - A.T|`` never exceeds ``tolerance`` entrywise.
+
+        ``tolerance == 0`` asks for exact symmetry of the stored pattern
+        and values.  Otherwise each stored ``a_ij`` is compared with its
+        mirror ``a_ji`` (``0.0`` when unstored); an entry stored only in
+        ``A.T`` is the mirror of one in ``A``, so this covers the union
+        of both patterns and gives the dense formula's verdict without
+        building a dense copy.
+        """
         if self.shape[0] != self.shape[1]:
             return False
-        transposed = self.transpose()
+        n = self.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        # Canonical CSR keys ascend; the sentinel n*n ends every search.
+        keys = np.append(rows * n + self.indices, n * n)
+        mirror = self.indices * n + rows
+        positions = np.searchsorted(keys, mirror)
+        paired = keys[positions] == mirror
         if tolerance == 0.0:
-            return (
-                np.array_equal(self.indptr, transposed.indptr)
-                and np.array_equal(self.indices, transposed.indices)
-                and np.array_equal(self.data, transposed.data)
+            return bool(
+                paired.all() and np.array_equal(self.data, self.data[positions])
             )
-        return bool(
-            np.max(np.abs(self.to_dense() - transposed.to_dense()), initial=0.0)
-            <= tolerance
-        )
+        partner = np.where(paired, np.append(self.data, 0.0)[positions], 0.0)
+        return bool(np.max(np.abs(self.data - partner), initial=0.0) <= tolerance)

@@ -25,9 +25,22 @@ addition absorbs them exactly: ``s + (+/-0.0) == s`` whenever
 Hence dense, CSR, and ELL sweeps over the same matrix are bit-identical
 for finite inputs — the property suite pins this.
 
-The sweeps iterate ``W = max_row_nnz`` slots (dense: ``n_cols``
-columns); each slot is one vectorized gather-multiply-accumulate, so
-the host cost is ``O(W)`` numpy calls on ``O(n_rows)`` operands.
+**Host cost.**  The sweeps iterate ``W = max_row_nnz`` slots (dense:
+``n_cols`` columns), one vectorized multiply-accumulate each, so the
+host cost is ``O(W)`` numpy calls on ``O(n_rows)`` operands.  A
+:class:`SweepPlan` classifies the CSR slots from ``indptr`` alone and
+runs each in one of two exact forms:
+
+* *strided* — every row stores the same count ``W`` (periodic lattices
+  such as the paper's cube), so slot ``k`` is the views
+  ``data[k::W]`` / ``indices[k::W]`` and ``out += ...``: no position
+  gather, no row scatter;
+* *rows* — row lengths differ: only the rows longer than ``k`` take
+  part, ``out[rows] += ...`` over gathered positions.
+
+Each output element receives the same multiply-adds in the same order
+under both kinds, so the plan is a host-time choice only; it never
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -52,42 +65,72 @@ class SweepPlan:
     """Precomputed slot schedule of a CSR matrix's canonical sweep.
 
     Slot ``k`` covers the ``k``-th stored entry of every row that has at
-    least ``k + 1`` entries: ``rows[k]`` are those row indices and
-    ``positions[k]`` the matching flat positions into ``data`` /
-    ``indices``.  Total memory is ``O(nnz)`` regardless of row skew.
+    least ``k + 1`` entries.  ``slots[k]`` is ``(rows, positions)``:
+    for a strided slot ``rows`` is ``None`` and ``positions`` a
+    ``slice`` of ``data`` / ``indices`` covering every row in order;
+    otherwise ``rows`` are the output rows and ``positions`` the
+    matching flat positions.  ``nnz`` is the stored-entry count the
+    plan was built for; the sweeps refuse arrays of any other length,
+    since a strided slice would silently clamp instead of failing.
+    Total memory is ``O(nnz)`` regardless of row skew, and nothing for
+    uniform rows.
     """
 
-    __slots__ = ("n_rows", "slots")
+    __slots__ = ("n_rows", "nnz", "slots")
 
-    def __init__(self, n_rows: int, slots: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(
+        self,
+        n_rows: int,
+        nnz: int,
+        slots: list[tuple[np.ndarray | None, np.ndarray | slice]],
+    ):
         self.n_rows = n_rows
+        self.nnz = nnz
         self.slots = slots
 
 
 def build_sweep_plan(indptr: np.ndarray, n_rows: int) -> SweepPlan:
-    """Build the slot schedule for a CSR row pointer."""
+    """Build the slot schedule for a CSR row pointer (see module docstring)."""
     indptr = np.asarray(indptr, dtype=np.int64)
     if indptr.shape[0] != n_rows + 1:
         raise ShapeError(
             f"indptr must have length n_rows+1={n_rows + 1}, got {indptr.shape[0]}"
         )
     row_lengths = np.diff(indptr)
-    slots: list[tuple[np.ndarray, np.ndarray]] = []
     width = int(row_lengths.max(initial=0))
+    uniform = bool(np.all(row_lengths == width))
+    first, nnz = int(indptr[0]), int(indptr[-1])
     starts = indptr[:-1]
+    slots: list[tuple[np.ndarray | None, np.ndarray | slice]] = []
     for k in range(width):
-        rows = np.flatnonzero(row_lengths > k)
-        slots.append((rows, starts[rows] + k))
-    return SweepPlan(n_rows, slots)
+        if uniform:
+            slots.append((None, slice(first + k, nnz, width)))
+        else:
+            rows = np.flatnonzero(row_lengths > k)
+            slots.append((rows, starts[rows] + k))
+    return SweepPlan(n_rows, nnz, slots)
+
+
+def _check_lengths(data, indices, plan: SweepPlan) -> None:
+    if len(data) != plan.nnz or len(indices) != plan.nnz:
+        raise ShapeError(
+            f"plan was built for nnz={plan.nnz}, got data/indices of "
+            f"length {len(data)}/{len(indices)}"
+        )
 
 
 def csr_sweep_matvec(data, indices, plan: SweepPlan, x) -> np.ndarray:
     """Canonical ``A @ x`` over CSR storage (see module docstring)."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
+    _check_lengths(data, indices, plan)
     out = np.zeros(plan.n_rows, dtype=np.result_type(data, x))
     for rows, positions in plan.slots:
-        out[rows] += data[positions] * x[indices[positions]]
+        term = data[positions] * x[indices[positions]]
+        if rows is None:
+            out += term
+        else:
+            out[rows] += term
     return out
 
 
@@ -95,9 +138,14 @@ def csr_sweep_matmat(data, indices, plan: SweepPlan, block) -> np.ndarray:
     """Canonical ``A @ B`` over CSR storage, column by column independent."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
+    _check_lengths(data, indices, plan)
     out = np.zeros((plan.n_rows, block.shape[1]), dtype=np.result_type(data, block))
     for rows, positions in plan.slots:
-        out[rows] += data[positions, None] * block[indices[positions], :]
+        term = data[positions, None] * block[indices[positions], :]
+        if rows is None:
+            out += term
+        else:
+            out[rows] += term
     return out
 
 

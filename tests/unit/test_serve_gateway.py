@@ -229,6 +229,14 @@ class TestGatewayMetrics:
         assert metrics.peak_active_engines >= metrics.active_engines
         assert metrics.scale_ups >= metrics.peak_active_engines - 1
 
+    def test_pump_accumulates_host_wall_seconds(self):
+        arrivals = timed_trace(12, seed=9, duration=3.0, deadline_slack=50.0)
+        gw = gateway()
+        assert gw.metrics().wall_seconds == 0.0
+        gw.run_trace(arrivals)
+        assert gw.gateway_metrics().served > 0
+        assert gw.metrics().wall_seconds > 0.0
+
 
 class TestEquivalence:
     def test_calm_trace_matches_fifo_reference(self):
