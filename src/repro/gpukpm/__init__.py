@@ -25,7 +25,7 @@ from repro.gpukpm.stats import (
     per_vector_recursion_stats,
 )
 from repro.gpukpm.memory_plan import MemoryPlan, plan_memory, paper_memory_bytes
-from repro.gpukpm.pipeline import CheckpointChunk, GpuKPM, GpuSimEngine
+from repro.gpukpm.pipeline import CheckpointChunk, GpuKPM
 from repro.gpukpm.spmv import (
     SPMV_FORMATS,
     VECTOR_WIDTHS,
@@ -53,7 +53,6 @@ __all__ = [
     "paper_memory_bytes",
     "CheckpointChunk",
     "GpuKPM",
-    "GpuSimEngine",
     "SPMV_FORMATS",
     "VECTOR_WIDTHS",
     "SpmvModel",

@@ -33,13 +33,13 @@ from repro.gpukpm.stats import (
     reduce_launch_stats,
 )
 from repro.kpm.config import KPMConfig
-from repro.kpm.moments import MomentData
+from repro.kpm.moments import MomentData, _check_extension, _run_key
 from repro.trace.tracer import current_tracer
 from repro.sparse import CSRMatrix, ELLMatrix, as_operator
 from repro.timing import TimingReport, WallTimer
 from repro.util.validation import check_positive_int
 
-__all__ = ["CheckpointChunk", "GpuMomentState", "GpuKPM", "GpuSimEngine"]
+__all__ = ["CheckpointChunk", "GpuMomentState", "GpuKPM"]
 
 
 def _as_csr(op) -> CSRMatrix:
@@ -72,19 +72,18 @@ class GpuMomentState:
 
     Attributes
     ----------
-    vectors:
-        Total random vectors (``R * S``) the state covers.
+    run_key:
+        The config fields besides ``N`` that decide the moment values
+        (R, S, vector kind, seed, doubling, precision); an extension
+        must match them.
     num_moments:
         Truncation order the state was captured at.
-    precision:
-        Device precision the vectors are stored in.
     data:
-        ``(vectors, 2, D)`` array in the device dtype.
+        ``(R * S, 2, D)`` array in the device dtype.
     """
 
-    vectors: int
+    run_key: tuple
     num_moments: int
-    precision: str
     data: np.ndarray
 
 
@@ -260,19 +259,32 @@ class GpuKPM:
         ``[-1, 1]`` (use :func:`repro.kpm.rescale_operator`); the
         high-level :func:`repro.kpm.compute_dos` does this for you.
         """
+        return self._run_moments(scaled_operator, config)
+
+    def _run_moments(
+        self, scaled_operator, config: KPMConfig, **resume
+    ) -> tuple[MomentData, TimingReport]:
+        """Timed full-range :meth:`run_partition`, assembled per realization.
+
+        ``resume`` passes ``start_moment``/``resume_state``/``state_sink``
+        through; on resume the data covers only the new orders.
+        """
         if not isinstance(config, KPMConfig):
             raise ValidationError(
                 f"config must be a KPMConfig, got {type(config).__name__}"
             )
         with WallTimer() as timer:
             host_mu_tilde, host_mu, device = self.run_partition(
-                scaled_operator, config, first_vector=0, num_vectors=config.total_vectors
+                scaled_operator,
+                config,
+                first_vector=0,
+                num_vectors=config.total_vectors,
+                **resume,
             )
         dim = as_operator(scaled_operator).shape[0]
-        num_moments = config.num_moments
         per_realization = (
             host_mu_tilde.reshape(
-                config.num_realizations, config.num_random_vectors, num_moments
+                config.num_realizations, config.num_random_vectors, -1
             ).mean(axis=1)
             / dim
         )
@@ -282,8 +294,7 @@ class GpuKPM:
             dimension=dim,
             num_vectors=config.num_random_vectors,
         )
-        report = self._timing_report(device, timer.seconds)
-        return data, report
+        return data, self._timing_report(device, timer.seconds)
 
     def _timing_report(self, device: Device, wall_seconds: float) -> TimingReport:
         breakdown = dict(device.profiler.seconds_by_kernel())
@@ -315,36 +326,15 @@ class GpuKPM:
             )
         captured: list[np.ndarray] = []
         sink = captured.append if config.num_moments >= 2 else None
-        with WallTimer() as timer:
-            host_mu_tilde, host_mu, device = self.run_partition(
-                scaled_operator,
-                config,
-                first_vector=0,
-                num_vectors=config.total_vectors,
-                state_sink=sink,
-            )
-        dim = as_operator(scaled_operator).shape[0]
-        per_realization = (
-            host_mu_tilde.reshape(
-                config.num_realizations, config.num_random_vectors, config.num_moments
-            ).mean(axis=1)
-            / dim
-        )
-        data = MomentData(
-            mu=host_mu / dim,
-            per_realization=per_realization,
-            dimension=dim,
-            num_vectors=config.num_random_vectors,
-        )
+        data, report = self._run_moments(scaled_operator, config, state_sink=sink)
         state = None
         if captured:
             state = GpuMomentState(
-                vectors=config.total_vectors,
+                run_key=_run_key(config),
                 num_moments=config.num_moments,
-                precision=config.precision,
                 data=captured[0],
             )
-        return data, self._timing_report(device, timer.seconds), state
+        return data, report, state
 
     def extend_moments(
         self, scaled_operator, config: KPMConfig, data: MomentData, state
@@ -354,6 +344,9 @@ class GpuKPM:
         The new moment columns come out of the same kernel expressions a
         cold run would execute, so the extended :class:`MomentData` is
         bit-identical to :meth:`compute_moments` at the higher order.
+        ``config`` must match the captured run in every field that
+        decides moment values, else :class:`ValidationError` names the
+        first that differs.
         """
         if not isinstance(config, KPMConfig):
             raise ValidationError(
@@ -363,61 +356,25 @@ class GpuKPM:
             raise ValidationError(
                 f"state must be a GpuMomentState, got {type(state).__name__}"
             )
-        base = state.num_moments
-        if data.num_moments != base:
-            raise ValidationError(
-                f"data has {data.num_moments} moments but the state was "
-                f"captured at {base}"
-            )
-        if config.num_moments <= base:
-            raise ValidationError(
-                f"extension target must exceed the checkpointed order: "
-                f"{config.num_moments} <= {base}"
-            )
-        if config.total_vectors != state.vectors:
-            raise ValidationError(
-                f"config covers {config.total_vectors} vectors but the state "
-                f"holds {state.vectors}"
-            )
-        if config.precision != state.precision:
-            raise ValidationError(
-                f"precision mismatch: config {config.precision!r} vs state "
-                f"{state.precision!r}"
-            )
+        _check_extension(state.run_key, state.num_moments, data, config)
         captured: list[np.ndarray] = []
-        with WallTimer() as timer:
-            narrow_tilde, narrow_mu, device = self.run_partition(
-                scaled_operator,
-                config,
-                first_vector=0,
-                num_vectors=config.total_vectors,
-                start_moment=base,
-                resume_state=state.data,
-                state_sink=captured.append,
-            )
-        dim = as_operator(scaled_operator).shape[0]
-        extra = config.num_moments - base
-        new_columns = (
-            narrow_tilde.reshape(
-                config.num_realizations, config.num_random_vectors, extra
-            ).mean(axis=1)
-            / dim
+        new, report = self._run_moments(
+            scaled_operator,
+            config,
+            start_moment=state.num_moments,
+            resume_state=state.data,
+            state_sink=captured.append,
         )
         extended = MomentData(
-            mu=np.concatenate([data.mu, narrow_mu / dim]),
+            mu=np.concatenate([data.mu, new.mu]),
             per_realization=np.concatenate(
-                [data.per_realization, new_columns], axis=1
+                [data.per_realization, new.per_realization], axis=1
             ),
-            dimension=dim,
+            dimension=new.dimension,
             num_vectors=config.num_random_vectors,
         )
-        new_state = GpuMomentState(
-            vectors=config.total_vectors,
-            num_moments=config.num_moments,
-            precision=config.precision,
-            data=captured[0],
-        )
-        return extended, self._timing_report(device, timer.seconds), new_state
+        new_state = replace(state, num_moments=config.num_moments, data=captured[0])
+        return extended, report, new_state
 
     def estimate_modeled_seconds(self, scaled_operator, config: KPMConfig) -> float:
         """Analytic modeled seconds of a cold run — no execution.
@@ -447,8 +404,8 @@ class GpuKPM:
     ) -> tuple[np.ndarray, np.ndarray, Device]:
         """Run the pipeline for vectors ``[first_vector, first_vector + num_vectors)``.
 
-        This is the device-level worker used both by :meth:`run` (full
-        range) and by the multi-GPU extension (:mod:`repro.cluster`),
+        This is the device-level worker used both by :meth:`compute_moments`
+        (full range) and by the multi-GPU extension (:mod:`repro.cluster`),
         which assigns each simulated device one partition.  Global
         vector numbering keeps the random streams identical to a
         single-device run.
@@ -768,45 +725,3 @@ class GpuKPM:
                 )
         host_mu = host_mu_tilde.mean(axis=0)
         return host_mu_tilde.astype(np.float64), host_mu.astype(np.float64), device
-
-
-class GpuSimEngine:
-    """Legacy adapter kept for compatibility — :class:`GpuKPM` now
-    implements the :class:`~repro.kpm.engines.MomentEngine` protocol
-    itself and is what ``get_engine("gpu-sim")`` returns."""
-
-    name = "gpu-sim"
-
-    def __init__(
-        self,
-        spec: GpuSpec = TESLA_C2050,
-        *,
-        tuner=None,
-        spmv_format: str | None = None,
-        vector_width: int | None = None,
-    ):
-        self.runner = GpuKPM(
-            spec, tuner=tuner, spmv_format=spmv_format, vector_width=vector_width
-        )
-
-    def compute_moments(
-        self, scaled_operator, config: KPMConfig
-    ) -> tuple[MomentData, TimingReport]:
-        """Run the GPU pipeline on the scaled operator."""
-        return self.runner.compute_moments(scaled_operator, config)
-
-    def compute_moments_resumable(
-        self, scaled_operator, config: KPMConfig
-    ) -> tuple[MomentData, TimingReport, GpuMomentState | None]:
-        """Delegate to :meth:`GpuKPM.compute_moments_resumable`."""
-        return self.runner.compute_moments_resumable(scaled_operator, config)
-
-    def extend_moments(
-        self, scaled_operator, config: KPMConfig, data: MomentData, state
-    ) -> tuple[MomentData, TimingReport, GpuMomentState]:
-        """Delegate to :meth:`GpuKPM.extend_moments`."""
-        return self.runner.extend_moments(scaled_operator, config, data, state)
-
-    def estimate_modeled_seconds(self, scaled_operator, config: KPMConfig) -> float:
-        """Delegate to :meth:`GpuKPM.estimate_modeled_seconds`."""
-        return self.runner.estimate_modeled_seconds(scaled_operator, config)

@@ -31,11 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kpm.moments import (
-    MomentData,
-    extend_moments_block,
-    moments_block_resumable,
-)
+from repro.kpm.moments import MomentData, extend_recursion, moments_resumable
 from repro.kpm.random_vectors import available_vector_kinds, random_block
 from repro.kpm.reconstruct import dos_from_moments
 from repro.kpm.rescale import rescale_operator
@@ -132,7 +128,7 @@ class SpectralDensity:
             realization=0,
             first_vector=first,
         )
-        raw, checkpoint = moments_block_resumable(self.scaled, block, num_moments)
+        raw, checkpoint = moments_resumable(self.scaled, block, num_moments)
         self.matvecs_performed += max(num_moments - 1, 0) * count
         return raw.T / self.dimension, checkpoint
 
@@ -167,7 +163,7 @@ class SpectralDensity:
         segments = []
         advanced = []
         for checkpoint in self._checkpoints:
-            segment, state = extend_moments_block(self.scaled, checkpoint, target)
+            segment, state = extend_recursion(self.scaled, checkpoint, target)
             segments.append(segment.T / self.dimension)  # (count, extra)
             advanced.append(state)
         # Phase 2: commit.

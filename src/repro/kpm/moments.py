@@ -5,32 +5,40 @@ recursion
 
     |r_0> = |r>,  |r_1> = H~ |r_0>,  |r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>,
 
-with one dot product ``mu~_n = <r_0 | r_n>`` per order.  This module
-provides the single-vector recursion, a column-batched version (the
-vectorized equivalent of the paper's thread-block parallelism), the
-moment-doubling variant (two moments per matvec — an optimization the
-paper leaves on the table), the full stochastic trace estimator, and the
-exact trace for validation.
+with one dot product ``mu~_n = <r_0 | r_n>`` per order.  The recursion
+is written once, in :func:`extend_recursion`, together with the
+moment-doubling variant (two moments per matvec, Weiße et al.,
+arXiv:cond-mat/0504627 — an optimization the paper leaves on the
+table).  Everything else here is built on that loop: the single-vector
+and column-batched recursions (the latter the vectorized equivalent of
+the paper's thread-block parallelism), the stochastic trace estimator,
+and the exact trace for validation.
 
 Moments returned by the *low-level* routines are raw ``<r|T_n(H~)|r>``
 values; :func:`stochastic_moments` and :func:`exact_moments` normalize by
 the dimension ``D`` so that ``mu_0 ~= 1``.
 
-**Prefix closedness and checkpointed resume.**  ``mu_n`` depends only on
-``r_0 .. r_n`` — never on the truncation order ``N`` — so a moment
-sequence computed at order ``N`` contains, bit-for-bit, the sequence any
-smaller order would have produced.  The ``*_resumable`` variants exploit
-the converse direction: they return a :class:`RecursionCheckpoint`
-holding the recursion's tail vectors, and :func:`extend_moments_block` /
-:func:`extend_moments_single_vector` continue the *identical* loop from
-that state, producing orders ``[N, M)`` bit-identical to a cold run at
-``M`` without replaying orders ``0 .. N-1``.  The serve layer's
-prefix-closed moment cache is built on exactly this contract.
+**Two entry points, one loop.**  :func:`moments_resumable` builds the
+order-0 :class:`RecursionCheckpoint` of a start vector or block and
+hands it to :func:`extend_recursion`, which continues the loop from any
+checkpoint; a cold run *is* an extension from an empty checkpoint.
+``mu_n`` depends only on ``r_0 .. r_n`` — never on the truncation order
+— so extending a checkpoint taken at ``N`` up to ``M`` yields orders
+``[N, M)`` bit-identical to a cold run at ``M`` without replaying
+orders ``0 .. N-1``.  The serve layer's prefix-closed moment cache is
+built on exactly this contract.
+
+**The start's rank picks the arithmetic, once per call.**  A 1-D start
+vector runs ``op.matvec`` with the BLAS dot ``float(a @ b)``; a
+``(D, R)`` block runs ``op.matmat`` with the per-column
+``einsum("ij,ij->j")``.  The two dots can disagree in the last bit, so
+a single vector is deliberately *not* run as an ``R = 1`` block: that
+would change local-DoS numerics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from repro.errors import ShapeError, SpectrumError, ValidationError
 from repro.kpm.config import KPMConfig
 from repro.kpm.random_vectors import random_block
 from repro.sparse import as_operator
+from repro.util.rng import normalize_seed
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -46,10 +55,8 @@ __all__ = [
     "TraceCheckpoint",
     "moments_single_vector",
     "moments_block",
-    "moments_single_vector_resumable",
-    "moments_block_resumable",
-    "extend_moments_single_vector",
-    "extend_moments_block",
+    "moments_resumable",
+    "extend_recursion",
     "stochastic_moments",
     "stochastic_moments_resumable",
     "extend_stochastic_moments",
@@ -149,61 +156,46 @@ def _check_moment_magnitude(value: float, order: int) -> None:
         )
 
 
+def _vector_dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a @ b)
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _column_peak(row: np.ndarray) -> float:
+    return float(np.abs(row).max(initial=0.0))
+
+
+def _rank_arithmetic(op, start: np.ndarray):
+    """``(apply, dot, peak)`` for a 1-D start vector or a ``(D, R)`` block.
+
+    ``peak`` reduces one order's moments to the scalar the divergence
+    check bounds: the moment itself for a vector, ``max|row|`` for a
+    block (0 for an empty one).  See the module docstring for why the
+    dot depends on rank.
+    """
+    if start.ndim == 1:
+        return op.matvec, _vector_dot, float
+    return op.matmat, _column_dots, _column_peak
+
+
 def moments_single_vector(
     operator, start_vector, num_moments: int, *, use_doubling: bool = False
 ) -> np.ndarray:
-    """Raw moments ``<r|T_n(H~)|r>`` for one start vector.
+    """Raw moments ``<r|T_n(H~)|r>`` for one start vector, shape ``(N,)``.
 
-    Parameters
-    ----------
-    operator:
-        The *rescaled* Hamiltonian ``H~`` (spectrum inside ``[-1, 1]``).
-    start_vector:
-        ``|r>`` of length ``D``.
-    num_moments:
-        ``N`` — number of moments to produce.
-    use_doubling:
-        Use ``mu_{2k} = 2<r_k|r_k> - mu_0`` and
-        ``mu_{2k+1} = 2<r_{k+1}|r_k> - mu_1`` to halve the matvec count.
+    :func:`moments_resumable` for a length-``D`` vector, without the
+    checkpoint.
     """
-    op = as_operator(operator)
-    num_moments = check_positive_int(num_moments, "num_moments")
-    r0 = np.asarray(start_vector, dtype=np.float64)
-    if r0.ndim != 1 or r0.shape[0] != op.shape[0]:
+    if np.ndim(start_vector) != 1:
         raise ShapeError(
-            f"start_vector must have length {op.shape[0]}, got shape {r0.shape}"
+            f"start_vector must be 1-D, got shape {np.shape(start_vector)}"
         )
-    mu = np.empty(num_moments, dtype=np.float64)
-    norm_sq = float(r0 @ r0)
-    mu[0] = norm_sq
-    if num_moments == 1:
-        return mu
-    r_cur = op.matvec(r0)
-    mu[1] = float(r0 @ r_cur)
-    _check_moment_magnitude(mu[1] / max(norm_sq, 1.0), 1)
-
-    if use_doubling:
-        # alpha_k = T_k(H~) r0; two moments per additional matvec.
-        a_prev, a_cur = r0, r_cur
-        k = 1
-        while 2 * k < num_moments:
-            mu[2 * k] = 2.0 * float(a_cur @ a_cur) - mu[0]
-            _check_moment_magnitude(mu[2 * k] / max(norm_sq, 1.0), 2 * k)
-            if 2 * k + 1 < num_moments:
-                a_next = 2.0 * op.matvec(a_cur) - a_prev
-                mu[2 * k + 1] = 2.0 * float(a_next @ a_cur) - mu[1]
-                _check_moment_magnitude(mu[2 * k + 1] / max(norm_sq, 1.0), 2 * k + 1)
-                a_prev, a_cur = a_cur, a_next
-            k += 1
-        return mu
-
-    r_prev = r0.copy()
-    for order in range(2, num_moments):
-        r_next = 2.0 * op.matvec(r_cur) - r_prev
-        mu[order] = float(r0 @ r_next)
-        _check_moment_magnitude(mu[order] / max(norm_sq, 1.0), order)
-        r_prev, r_cur = r_cur, r_next
-    return mu
+    return moments_resumable(
+        operator, start_vector, num_moments, use_doubling=use_doubling
+    )[0]
 
 
 def moments_block(
@@ -215,64 +207,29 @@ def moments_block(
     ``moments_single_vector(operator, start_block[:, r], ...)`` up to
     floating-point reduction order.
     """
-    op = as_operator(operator)
-    num_moments = check_positive_int(num_moments, "num_moments")
-    block0 = np.asarray(start_block, dtype=np.float64)
-    if block0.ndim != 2 or block0.shape[0] != op.shape[0]:
+    if np.ndim(start_block) != 2:
         raise ShapeError(
-            f"start_block must have shape ({op.shape[0]}, R), got {block0.shape}"
+            f"start_block must be 2-D (D, R), got shape {np.shape(start_block)}"
         )
-    num_vectors = block0.shape[1]
-    mu = np.empty((num_moments, num_vectors), dtype=np.float64)
-    norms_sq = np.einsum("ij,ij->j", block0, block0)
-    mu[0] = norms_sq
-    if num_moments == 1:
-        return mu
-    cur = op.matmat(block0)
-    mu[1] = np.einsum("ij,ij->j", block0, cur)
-
-    scale = max(float(norms_sq.max(initial=1.0)), 1.0)
-    _check_moment_magnitude(float(np.max(np.abs(mu[1]))) / scale, 1)
-
-    if use_doubling:
-        prev, k = block0, 1
-        while 2 * k < num_moments:
-            mu[2 * k] = 2.0 * np.einsum("ij,ij->j", cur, cur) - mu[0]
-            _check_moment_magnitude(float(np.max(np.abs(mu[2 * k]))) / scale, 2 * k)
-            if 2 * k + 1 < num_moments:
-                nxt = 2.0 * op.matmat(cur) - prev
-                mu[2 * k + 1] = 2.0 * np.einsum("ij,ij->j", nxt, cur) - mu[1]
-                _check_moment_magnitude(
-                    float(np.max(np.abs(mu[2 * k + 1]))) / scale, 2 * k + 1
-                )
-                prev, cur = cur, nxt
-            k += 1
-        return mu
-
-    prev = block0.copy()
-    for order in range(2, num_moments):
-        nxt = 2.0 * op.matmat(cur) - prev
-        mu[order] = np.einsum("ij,ij->j", block0, nxt)
-        _check_moment_magnitude(float(np.max(np.abs(mu[order]))) / scale, order)
-        prev, cur = cur, nxt
-    return mu
+    return moments_resumable(
+        operator, start_block, num_moments, use_doubling=use_doubling
+    )[0]
 
 
 @dataclass
 class RecursionCheckpoint:
     """Resumable tail state of one three-term recursion.
 
-    Everything :func:`extend_moments_single_vector` /
-    :func:`extend_moments_block` need to continue the loop exactly where
-    a cold run stopped.  ``start`` is ``|r_0>`` (or the ``(D, R)`` start
-    block); in the plain path ``prev``/``cur`` are ``r_{N-2}``/``r_{N-1}``
-    and ``k == N - 1``; in the doubling path they are ``a_{k-1}``/``a_k``
-    with ``k`` the Chebyshev index of ``cur`` (for odd ``N`` the last
-    half-step produces no new ``a``, so ``k`` can lag ``N``).  ``mu0`` /
-    ``mu1`` are the raw order-0/1 moments the doubling corrections
-    reference; ``scale`` is the divergence-check normalization.  At
-    ``num_moments == 1`` the recursion has not started: ``prev``, ``cur``
-    and ``mu1`` are ``None``.
+    Everything :func:`extend_recursion` needs to continue the loop
+    exactly where the previous call stopped.  ``start`` is ``|r_0>`` (or
+    the ``(D, R)`` start block); in the plain path ``prev``/``cur`` are
+    ``r_{N-2}``/``r_{N-1}`` and ``k == N - 1``; in the doubling path they
+    are ``a_{k-1}``/``a_k`` with ``k`` the Chebyshev index of ``cur``
+    (for odd ``N`` the last half-step produces no new ``a``, so ``k`` can
+    lag ``N``).  ``mu0`` / ``mu1`` are the raw order-0/1 moments the
+    doubling corrections reference; ``scale`` is the divergence-check
+    normalization.  At ``num_moments == 1`` the recursion has not
+    started: ``prev``, ``cur`` and ``mu1`` are ``None``.
     """
 
     start: np.ndarray
@@ -286,234 +243,168 @@ class RecursionCheckpoint:
     mu1: object
 
 
-def _checkpoint_matches(checkpoint, ndim: int, op) -> None:
+def moments_resumable(
+    operator, start, num_moments: int, *, use_doubling: bool = False
+) -> tuple[np.ndarray, RecursionCheckpoint]:
+    """Raw moments ``<r|T_n(H~)|r>`` plus a checkpoint to extend them from.
+
+    Parameters
+    ----------
+    operator:
+        The *rescaled* Hamiltonian ``H~`` (spectrum inside ``[-1, 1]``).
+    start:
+        ``|r>`` of length ``D``, or a ``(D, R)`` block of start vectors.
+    num_moments:
+        ``N`` — number of moments to produce.
+    use_doubling:
+        Use ``mu_{2k} = 2<r_k|r_k> - mu_0`` and
+        ``mu_{2k+1} = 2<r_{k+1}|r_k> - mu_1`` to halve the matvec count.
+
+    Returns
+    -------
+    (mu, checkpoint):
+        Moments of shape ``(N,)`` or ``(N, R)``, and the
+        :class:`RecursionCheckpoint` :func:`extend_recursion` continues
+        from.
+    """
+    op = as_operator(operator)
+    num_moments = check_positive_int(num_moments, "num_moments")
+    start = np.asarray(start, dtype=np.float64)
+    dim = op.shape[0]
+    if start.ndim not in (1, 2) or start.shape[0] != dim:
+        raise ShapeError(
+            f"start must have shape ({dim},) or ({dim}, R), got {start.shape}"
+        )
+    _, dot, peak = _rank_arithmetic(op, start)
+    mu0 = dot(start, start)
+    checkpoint = RecursionCheckpoint(
+        start=start,
+        prev=None,
+        cur=None,
+        k=0,
+        num_moments=1,
+        scale=max(peak(mu0), 1.0),
+        use_doubling=bool(use_doubling),
+        mu0=mu0,
+        mu1=None,
+    )
+    mu = np.empty((num_moments, *start.shape[1:]), dtype=np.float64)
+    mu[0] = mu0
+    if num_moments > 1:
+        mu[1:], checkpoint = extend_recursion(op, checkpoint, num_moments)
+    return mu, checkpoint
+
+
+def extend_recursion(
+    operator, checkpoint: RecursionCheckpoint, num_moments: int
+) -> tuple[np.ndarray, RecursionCheckpoint]:
+    """Continue a recursion from ``checkpoint`` up to ``num_moments`` orders.
+
+    Returns the *new segment* — raw moments of orders
+    ``[checkpoint.num_moments, num_moments)``, one row per order — and
+    the advanced checkpoint.  This is the only place the recursion step
+    is written, so ``concat(old, segment)`` is bit-identical to a cold
+    :func:`moments_resumable` run at ``num_moments``.
+    """
+    op = as_operator(operator)
+    num_moments = check_positive_int(num_moments, "num_moments")
     if not isinstance(checkpoint, RecursionCheckpoint):
         raise ValidationError(
             f"checkpoint must be a RecursionCheckpoint, got {type(checkpoint).__name__}"
         )
-    if checkpoint.start.ndim != ndim:
+    start = checkpoint.start
+    if start.shape[0] != op.shape[0]:
         raise ShapeError(
-            f"checkpoint start vector must be {ndim}-dimensional, got "
-            f"shape {checkpoint.start.shape}"
-        )
-    if checkpoint.start.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"checkpoint dimension {checkpoint.start.shape[0]} does not match "
+            f"checkpoint dimension {start.shape[0]} does not match "
             f"operator dimension {op.shape[0]}"
         )
-
-
-def moments_single_vector_resumable(
-    operator, start_vector, num_moments: int, *, use_doubling: bool = False
-) -> tuple[np.ndarray, RecursionCheckpoint]:
-    """:func:`moments_single_vector` plus a resumable checkpoint.
-
-    The returned moments are bit-identical to
-    :func:`moments_single_vector` (the loop body is shared with
-    :func:`extend_moments_single_vector`, which performs the same
-    floating-point operations in the same order); the checkpoint lets a
-    later call extend the sequence without replaying from ``mu_0``.
-    """
-    op = as_operator(operator)
-    num_moments = check_positive_int(num_moments, "num_moments")
-    r0 = np.asarray(start_vector, dtype=np.float64)
-    if r0.ndim != 1 or r0.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"start_vector must have length {op.shape[0]}, got shape {r0.shape}"
-        )
-    norm_sq = float(r0 @ r0)
-    mu = np.empty(num_moments, dtype=np.float64)
-    mu[0] = norm_sq
-    checkpoint = RecursionCheckpoint(
-        start=r0,
-        prev=None,
-        cur=None,
-        k=0,
-        num_moments=1,
-        scale=max(norm_sq, 1.0),
-        use_doubling=bool(use_doubling),
-        mu0=norm_sq,
-        mu1=None,
-    )
-    if num_moments == 1:
-        return mu, checkpoint
-    segment, checkpoint = extend_moments_single_vector(op, checkpoint, num_moments)
-    mu[1:] = segment
-    return mu, checkpoint
-
-
-def extend_moments_single_vector(
-    operator, checkpoint: RecursionCheckpoint, num_moments: int
-) -> tuple[np.ndarray, RecursionCheckpoint]:
-    """Resume a single-vector recursion up to ``num_moments`` orders.
-
-    Returns the *new segment* — raw moments of orders
-    ``[checkpoint.num_moments, num_moments)`` — and the advanced
-    checkpoint.  Because the loop body repeats the cold path's operations
-    exactly, ``concat(old, segment)`` is bit-identical to a cold
-    :func:`moments_single_vector` run at ``num_moments``.
-    """
-    op = as_operator(operator)
-    num_moments = check_positive_int(num_moments, "num_moments")
-    _checkpoint_matches(checkpoint, 1, op)
     base = checkpoint.num_moments
     if num_moments <= base:
         raise ValidationError(
             f"extension target {num_moments} must exceed the checkpoint's "
             f"{base} moments"
         )
-    r0 = checkpoint.start
+    apply, dot, peak = _rank_arithmetic(op, start)
     scale = checkpoint.scale
-    segment = np.empty(num_moments - base, dtype=np.float64)
+    segment = np.empty((num_moments - base, *start.shape[1:]), dtype=np.float64)
 
-    def emit(order: int, value: float) -> None:
+    def emit(order: int, value) -> None:
         segment[order - base] = value
-        _check_moment_magnitude(value / scale, order)
+        _check_moment_magnitude(peak(value) / scale, order)
 
     prev, cur, k = checkpoint.prev, checkpoint.cur, checkpoint.k
     mu1 = checkpoint.mu1
     known = base
     if cur is None:
-        # Only mu_0 is known: bootstrap exactly like the cold path.
-        cur = op.matvec(r0)
-        mu1 = float(r0 @ cur)
+        # Only mu_0 is known: start the recursion.
+        prev, cur = start, apply(start)
+        mu1 = dot(start, cur)
         emit(1, mu1)
-        prev = r0 if checkpoint.use_doubling else r0.copy()
-        k = 1
-        known = 2
+        k, known = 1, 2
     if checkpoint.use_doubling:
-        mu0 = checkpoint.mu0
+        # cur = T_k(H~) r_0; every matvec yields mu_{2k} and mu_{2k+1}.
         while 2 * k < num_moments:
             if 2 * k >= known:
-                emit(2 * k, 2.0 * float(cur @ cur) - mu0)
-            if 2 * k + 1 < num_moments:
-                nxt = 2.0 * op.matvec(cur) - prev
-                if 2 * k + 1 >= known:
-                    emit(2 * k + 1, 2.0 * float(nxt @ cur) - mu1)
-                prev, cur = cur, nxt
-                k += 1
-            else:
+                emit(2 * k, 2.0 * dot(cur, cur) - checkpoint.mu0)
+            if 2 * k + 1 >= num_moments:
                 break
+            nxt = 2.0 * apply(cur) - prev
+            if 2 * k + 1 >= known:
+                emit(2 * k + 1, 2.0 * dot(nxt, cur) - mu1)
+            prev, cur, k = cur, nxt, k + 1
     else:
-        for order in range(max(known, 2), num_moments):
-            nxt = 2.0 * op.matvec(cur) - prev
-            emit(order, float(r0 @ nxt))
+        for order in range(known, num_moments):
+            nxt = 2.0 * apply(cur) - prev
+            emit(order, dot(start, nxt))
             prev, cur = cur, nxt
         k = num_moments - 1
-    advanced = RecursionCheckpoint(
-        start=r0,
-        prev=prev,
-        cur=cur,
-        k=k,
-        num_moments=num_moments,
-        scale=scale,
-        use_doubling=checkpoint.use_doubling,
-        mu0=checkpoint.mu0,
-        mu1=mu1,
+    advanced = replace(
+        checkpoint, prev=prev, cur=cur, k=k, num_moments=num_moments, mu1=mu1
     )
     return segment, advanced
 
 
-def moments_block_resumable(
-    operator, start_block, num_moments: int, *, use_doubling: bool = False
-) -> tuple[np.ndarray, RecursionCheckpoint]:
-    """:func:`moments_block` plus a resumable checkpoint (see above)."""
-    op = as_operator(operator)
-    num_moments = check_positive_int(num_moments, "num_moments")
-    block0 = np.asarray(start_block, dtype=np.float64)
-    if block0.ndim != 2 or block0.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"start_block must have shape ({op.shape[0]}, R), got {block0.shape}"
-        )
-    num_vectors = block0.shape[1]
-    mu = np.empty((num_moments, num_vectors), dtype=np.float64)
-    norms_sq = np.einsum("ij,ij->j", block0, block0)
-    mu[0] = norms_sq
-    checkpoint = RecursionCheckpoint(
-        start=block0,
-        prev=None,
-        cur=None,
-        k=0,
-        num_moments=1,
-        scale=max(float(norms_sq.max(initial=1.0)), 1.0),
-        use_doubling=bool(use_doubling),
-        mu0=norms_sq,
-        mu1=None,
-    )
-    if num_moments == 1:
-        return mu, checkpoint
-    segment, checkpoint = extend_moments_block(op, checkpoint, num_moments)
-    mu[1:] = segment
-    return mu, checkpoint
+def _run_key(config: KPMConfig) -> tuple:
+    """The config fields besides ``N`` that decide a run's moment values.
 
-
-def extend_moments_block(
-    operator, checkpoint: RecursionCheckpoint, num_moments: int
-) -> tuple[np.ndarray, RecursionCheckpoint]:
-    """Resume a block recursion; returns the ``(new_orders, R)`` segment.
-
-    Block analogue of :func:`extend_moments_single_vector` — same
-    contract: the segment stacked under the cold prefix is bit-identical
-    to a cold :func:`moments_block` run at ``num_moments``.
+    Recorded in every trace checkpoint (host and GPU); an extension must
+    present the same values, so it continues the run that was started.
     """
-    op = as_operator(operator)
-    num_moments = check_positive_int(num_moments, "num_moments")
-    _checkpoint_matches(checkpoint, 2, op)
-    base = checkpoint.num_moments
-    if num_moments <= base:
-        raise ValidationError(
-            f"extension target {num_moments} must exceed the checkpoint's "
-            f"{base} moments"
-        )
-    block0 = checkpoint.start
-    scale = checkpoint.scale
-    segment = np.empty((num_moments - base, block0.shape[1]), dtype=np.float64)
-
-    def emit(order: int, row: np.ndarray) -> None:
-        segment[order - base] = row
-        _check_moment_magnitude(float(np.max(np.abs(row))) / scale, order)
-
-    prev, cur, k = checkpoint.prev, checkpoint.cur, checkpoint.k
-    mu1 = checkpoint.mu1
-    known = base
-    if cur is None:
-        cur = op.matmat(block0)
-        mu1 = np.einsum("ij,ij->j", block0, cur)
-        emit(1, mu1)
-        prev = block0 if checkpoint.use_doubling else block0.copy()
-        k = 1
-        known = 2
-    if checkpoint.use_doubling:
-        mu0 = checkpoint.mu0
-        while 2 * k < num_moments:
-            if 2 * k >= known:
-                emit(2 * k, 2.0 * np.einsum("ij,ij->j", cur, cur) - mu0)
-            if 2 * k + 1 < num_moments:
-                nxt = 2.0 * op.matmat(cur) - prev
-                if 2 * k + 1 >= known:
-                    emit(2 * k + 1, 2.0 * np.einsum("ij,ij->j", nxt, cur) - mu1)
-                prev, cur = cur, nxt
-                k += 1
-            else:
-                break
-    else:
-        for order in range(max(known, 2), num_moments):
-            nxt = 2.0 * op.matmat(cur) - prev
-            emit(order, np.einsum("ij,ij->j", block0, nxt))
-            prev, cur = cur, nxt
-        k = num_moments - 1
-    advanced = RecursionCheckpoint(
-        start=block0,
-        prev=prev,
-        cur=cur,
-        k=k,
-        num_moments=num_moments,
-        scale=scale,
-        use_doubling=checkpoint.use_doubling,
-        mu0=checkpoint.mu0,
-        mu1=mu1,
+    return (
+        ("num_random_vectors", config.num_random_vectors),
+        ("num_realizations", config.num_realizations),
+        ("vector_kind", config.vector_kind),
+        ("seed", normalize_seed(config.seed)),
+        ("use_doubling", config.use_doubling),
+        ("precision", config.precision),
     )
-    return segment, advanced
+
+
+def _check_extension(
+    run_key: tuple, base: int, data: MomentData, config: KPMConfig
+) -> None:
+    """Raise :class:`ValidationError` unless ``config`` extends the run.
+
+    Shared by the host and GPU extension paths.  Every ``run_key`` field
+    must match (the first that differs is named), ``data`` must hold the
+    ``base`` orders the checkpoint stopped at, and the target must grow.
+    """
+    for (field, was), (_, now) in zip(run_key, _run_key(config)):
+        if was != now:
+            raise ValidationError(
+                f"cannot extend: config has {field}={now!r} but the "
+                f"checkpoint was taken with {field}={was!r}"
+            )
+    if data.num_moments != base:
+        raise ValidationError(
+            f"data carries {data.num_moments} moments but the checkpoint "
+            f"stopped at {base}; they must match"
+        )
+    if config.num_moments <= base:
+        raise ValidationError(
+            f"extension target {config.num_moments} must exceed the "
+            f"checkpointed {base} moments"
+        )
 
 
 @dataclass
@@ -521,11 +412,13 @@ class TraceCheckpoint:
     """Resumable state of a :func:`stochastic_moments` run.
 
     One :class:`RecursionCheckpoint` per realization, in realization
-    order.  Opaque to callers — hand it back to
-    :func:`extend_stochastic_moments` unchanged.
+    order, and the run's identity (R, S, vector kind, seed, doubling,
+    precision) that an extension must match.  Opaque to callers — hand
+    it back to :func:`extend_stochastic_moments` unchanged.
     """
 
     checkpoints: list
+    run_key: tuple
 
     @property
     def num_moments(self) -> int:
@@ -533,6 +426,44 @@ class TraceCheckpoint:
         if not self.checkpoints:
             return 0
         return int(self.checkpoints[0].num_moments)
+
+
+def _trace(
+    op,
+    config: KPMConfig,
+    *,
+    per_vector: np.ndarray | None = None,
+    checkpoints: list | None = None,
+) -> MomentData:
+    """The stochastic trace over every realization's block recursion.
+
+    Fills ``per_vector`` (``(S, R, N)``) and appends each realization's
+    checkpoint to ``checkpoints`` when given.  Without ``checkpoints`` no
+    realization's recursion vectors outlive its loop iteration, so the
+    cold path's memory does not grow with ``S``.
+    """
+    dim = op.shape[0]
+    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
+    per_realization = np.empty((s, n), dtype=np.float64)
+    for realization in range(s):
+        block = random_block(
+            dim, r, config.vector_kind, seed=config.seed, realization=realization
+        )
+        raw, checkpoint = moments_resumable(
+            op, block, n, use_doubling=config.use_doubling
+        )  # (N, R)
+        if per_vector is not None:
+            per_vector[realization] = raw.T / dim
+        if checkpoints is not None:
+            checkpoints.append(checkpoint)
+        del checkpoint  # unless kept, free its vectors before the next block
+        per_realization[realization] = raw.mean(axis=1) / dim
+    return MomentData(
+        mu=per_realization.mean(axis=0),
+        per_realization=per_realization,
+        dimension=dim,
+        num_vectors=r,
+    )
 
 
 def stochastic_moments(
@@ -561,27 +492,13 @@ def stochastic_moments(
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     op = as_operator(operator)
-    dim = op.shape[0]
-    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
-    per_realization = np.empty((s, n), dtype=np.float64)
-    per_vector = np.empty((s, r, n), dtype=np.float64) if keep_per_vector else None
-    for realization in range(s):
-        block = random_block(
-            dim, r, config.vector_kind, seed=config.seed, realization=realization
-        )
-        raw = moments_block(op, block, n, use_doubling=config.use_doubling)  # (N, R)
-        if per_vector is not None:
-            per_vector[realization] = raw.T / dim
-        per_realization[realization] = raw.mean(axis=1) / dim
-    data = MomentData(
-        mu=per_realization.mean(axis=0),
-        per_realization=per_realization,
-        dimension=dim,
-        num_vectors=r,
+    if not keep_per_vector:
+        return _trace(op, config)
+    per_vector = np.empty(
+        (config.num_realizations, config.num_random_vectors, config.num_moments),
+        dtype=np.float64,
     )
-    if keep_per_vector:
-        return data, per_vector
-    return data
+    return _trace(op, config, per_vector=per_vector), per_vector
 
 
 def stochastic_moments_resumable(
@@ -589,35 +506,16 @@ def stochastic_moments_resumable(
 ) -> tuple[MomentData, TraceCheckpoint]:
     """:func:`stochastic_moments` plus a :class:`TraceCheckpoint`.
 
-    Bit-identical to :func:`stochastic_moments` (the per-realization
-    block recursions go through :func:`moments_block_resumable`, whose
-    cold path repeats :func:`moments_block` exactly); the checkpoint lets
+    Bit-identical to :func:`stochastic_moments` (both run the same
+    per-realization recursions); the checkpoint lets
     :func:`extend_stochastic_moments` raise the truncation order later
     without replaying the recursion from ``mu_0``.
     """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
-    op = as_operator(operator)
-    dim = op.shape[0]
-    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
-    per_realization = np.empty((s, n), dtype=np.float64)
-    checkpoints = []
-    for realization in range(s):
-        block = random_block(
-            dim, r, config.vector_kind, seed=config.seed, realization=realization
-        )
-        raw, checkpoint = moments_block_resumable(
-            op, block, n, use_doubling=config.use_doubling
-        )
-        per_realization[realization] = raw.mean(axis=1) / dim
-        checkpoints.append(checkpoint)
-    data = MomentData(
-        mu=per_realization.mean(axis=0),
-        per_realization=per_realization,
-        dimension=dim,
-        num_vectors=r,
-    )
-    return data, TraceCheckpoint(checkpoints=checkpoints)
+    checkpoints: list = []
+    data = _trace(as_operator(operator), config, checkpoints=checkpoints)
+    return data, TraceCheckpoint(checkpoints=checkpoints, run_key=_run_key(config))
 
 
 def extend_stochastic_moments(
@@ -627,12 +525,14 @@ def extend_stochastic_moments(
 
     ``data``/``checkpoint`` must come from
     :func:`stochastic_moments_resumable` (or a previous extension) with
-    the same operator and config identity; only ``config.num_moments``
-    may differ, and must be larger.  The result is bit-identical to a
-    cold :func:`stochastic_moments` at the new order: the stored prefix
-    columns are reused as-is and the new columns are produced by the
-    resumed recursion, whose per-order values never depended on the
-    truncation order in the first place.
+    the same operator; ``config`` must match the run in every field that
+    decides moment values (R, S, vector kind, seed, doubling, precision),
+    else :class:`ValidationError` names the first that differs.  Only
+    ``config.num_moments`` may change, and must grow.  The result is
+    bit-identical to a cold :func:`stochastic_moments` at the new order:
+    the stored prefix columns are reused as-is and the new columns are
+    produced by the resumed recursion, whose per-order values never
+    depended on the truncation order in the first place.
     """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
@@ -645,25 +545,12 @@ def extend_stochastic_moments(
     op = as_operator(operator)
     base = checkpoint.num_moments
     target = config.num_moments
-    if len(checkpoint.checkpoints) != config.num_realizations:
-        raise ValidationError(
-            f"checkpoint has {len(checkpoint.checkpoints)} realizations, "
-            f"config asks for {config.num_realizations}"
-        )
-    if data.num_moments != base:
-        raise ValidationError(
-            f"data carries {data.num_moments} moments but the checkpoint "
-            f"stopped at {base}; they must match"
-        )
-    if target <= base:
-        raise ValidationError(
-            f"extension target {target} must exceed the checkpointed {base} moments"
-        )
+    _check_extension(checkpoint.run_key, base, data, config)
     dim = data.dimension
     new_columns = np.empty((config.num_realizations, target - base), dtype=np.float64)
     advanced = []
     for realization, state in enumerate(checkpoint.checkpoints):
-        segment, state = extend_moments_block(op, state, target)
+        segment, state = extend_recursion(op, state, target)
         new_columns[realization] = segment.mean(axis=1) / dim
         advanced.append(state)
     per_realization = np.concatenate([data.per_realization, new_columns], axis=1)
@@ -673,7 +560,7 @@ def extend_stochastic_moments(
         dimension=dim,
         num_vectors=data.num_vectors,
     )
-    return extended, TraceCheckpoint(checkpoints=advanced)
+    return extended, TraceCheckpoint(checkpoints=advanced, run_key=checkpoint.run_key)
 
 
 def exact_moments(operator, num_moments: int, *, chunk_size: int = 256) -> np.ndarray:

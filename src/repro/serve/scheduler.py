@@ -209,9 +209,9 @@ class EdfCoalesceScheduler(FifoCoalesceScheduler):
     batches stay adjacent (the first computes, siblings forward).
     """
 
-    def drain(self) -> list[Batch]:
-        """Empty the queue, tightest deadline first (see class docstring)."""
-        groups = self._grouped()
+    def _grouped(self) -> list[list[QueuedRequest]]:
+        """The FIFO groups, reordered tightest deadline first."""
+        groups = super()._grouped()
         groups.sort(
             key=lambda entries: (
                 min(
@@ -222,15 +222,4 @@ class EdfCoalesceScheduler(FifoCoalesceScheduler):
                 entries[0].seq,
             )
         )
-        batches: list[Batch] = []
-        for entries in groups:
-            step = self.max_batch_size or len(entries)
-            for start in range(0, len(entries), step):
-                batch = Batch(
-                    batch_id=self._next_batch_id,
-                    key=entries[0].key,
-                    entries=entries[start : start + step],
-                )
-                self._next_batch_id += 1
-                batches.append(batch)
-        return batches
+        return groups

@@ -42,11 +42,7 @@ from repro.kpm.dos import validate_spectral_operator
 from repro.kpm.engines import ResumableMomentEngine
 from repro.kpm.green import greens_function
 from repro.kpm.incremental import moment_convergence_estimate
-from repro.kpm.moments import (
-    MomentData,
-    extend_moments_single_vector,
-    moments_single_vector_resumable,
-)
+from repro.kpm.moments import MomentData, extend_recursion, moments_resumable
 from repro.kpm.reconstruct import dos_from_moments
 from repro.kpm.rescale import rescale_operator
 from repro.trace.tracer import current_tracer
@@ -473,7 +469,7 @@ class SpectralService:
             # checkpoint lets later batches extend in place.
             start = np.zeros(head.operator.shape[0], dtype=np.float64)
             start[head.request.site] = 1.0
-            mu, checkpoint = moments_single_vector_resumable(
+            mu, checkpoint = moments_resumable(
                 scaled, start, target_n, use_doubling=config.use_doubling
             )
             return CacheEntry(
@@ -546,9 +542,7 @@ class SpectralService:
             config = config.with_updates(num_moments=target_n)
         scaled, rescaling = self._scaled_for(batch)
         if base.engine == HOST_ENGINE:
-            segment, checkpoint = extend_moments_single_vector(
-                scaled, base.state, target_n
-            )
+            segment, checkpoint = extend_recursion(scaled, base.state, target_n)
             mu = np.concatenate([base.moments, segment])
             return (
                 CacheEntry(

@@ -7,13 +7,12 @@ from repro.errors import ValidationError
 from repro.gpu import Device, TESLA_C2050, tiny_test_device
 from repro.gpukpm import (
     GpuKPM,
-    GpuSimEngine,
     estimate_gpu_kpm_seconds,
     gpu_kpm_breakdown,
     plan_memory,
     tune_block_size,
 )
-from repro.kpm import KPMConfig, rescale_operator, stochastic_moments
+from repro.kpm import KPMConfig, get_engine, rescale_operator, stochastic_moments
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 
 
@@ -146,7 +145,7 @@ class TestRunPartition:
 
 class TestEngine:
     def test_registered_backend_runs(self, scaled_cube, small_config):
-        engine = GpuSimEngine()
+        engine = get_engine("gpu-sim")
         data, report = engine.compute_moments(scaled_cube, small_config)
         assert report.backend == "gpu-sim"
         assert report.device == "NVIDIA Tesla C2050"
@@ -236,6 +235,32 @@ class TestResumableGpu:
         )
         with pytest.raises(ValidationError, match="vectors"):
             engine.extend_moments(scaled_cube, mismatched, warm, state)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"num_random_vectors": 3}, "num_random_vectors"),
+            ({"num_realizations": 3}, "num_realizations"),
+            ({"vector_kind": "gaussian"}, "vector_kind"),
+            ({"seed": 99}, "seed"),
+            ({"use_doubling": True}, "use_doubling"),
+            ({"precision": "single"}, "precision"),
+            # Same R * S = 16 vectors, regrouped.
+            ({"num_random_vectors": 4, "num_realizations": 4}, "num_random_vectors"),
+        ],
+    )
+    def test_extension_rejects_changed_run(
+        self, scaled_cube, small_config, changes, field
+    ):
+        engine = GpuKPM()
+        warm, _, state = engine.compute_moments_resumable(
+            scaled_cube, small_config
+        )
+        changed = small_config.with_updates(
+            num_moments=small_config.num_moments + 4, **changes
+        )
+        with pytest.raises(ValidationError, match=field):
+            engine.extend_moments(scaled_cube, changed, warm, state)
 
     def test_estimator_capability_matches_execution(
         self, scaled_cube, small_config

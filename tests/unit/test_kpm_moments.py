@@ -96,6 +96,13 @@ class TestBlock:
         with pytest.raises(SpectrumError):
             moments_block(h, np.ones((32, 2)), 200)
 
+    @pytest.mark.parametrize("use_doubling", [False, True])
+    def test_empty_block_gives_empty_moments(self, scaled_chain, use_doubling):
+        mu = moments_block(
+            scaled_chain, np.empty((32, 0)), 6, use_doubling=use_doubling
+        )
+        assert mu.shape == (6, 0)
+
 
 class TestStochastic:
     def test_mu0_exactly_one_rademacher(self, scaled_chain):
@@ -275,22 +282,19 @@ class TestResumable:
     @pytest.mark.parametrize("use_doubling", [False, True])
     @pytest.mark.parametrize("base", [1, 2, 3, 8])
     def test_single_vector_roundtrip(self, scaled_chain, base, use_doubling):
-        from repro.kpm.moments import (
-            extend_moments_single_vector,
-            moments_single_vector_resumable,
-        )
+        from repro.kpm.moments import extend_recursion, moments_resumable
 
         rng = np.random.default_rng(0)
         r0 = rng.standard_normal(32)
         cold = moments_single_vector(
             scaled_chain, r0, base, use_doubling=use_doubling
         )
-        warm, checkpoint = moments_single_vector_resumable(
+        warm, checkpoint = moments_resumable(
             scaled_chain, r0, base, use_doubling=use_doubling
         )
         assert np.array_equal(cold, warm)
         for target in (base + 1, base + 5, 2 * base + 3):
-            segment, _ = extend_moments_single_vector(
+            segment, _ = extend_recursion(
                 scaled_chain, checkpoint, target
             )
             full = np.concatenate([warm, segment])
@@ -301,33 +305,27 @@ class TestResumable:
 
     @pytest.mark.parametrize("use_doubling", [False, True])
     def test_block_chained_extension(self, scaled_chain, use_doubling):
-        from repro.kpm.moments import (
-            extend_moments_block,
-            moments_block_resumable,
-        )
+        from repro.kpm.moments import extend_recursion, moments_resumable
 
         rng = np.random.default_rng(1)
         block = rng.standard_normal((32, 3))
-        warm, checkpoint = moments_block_resumable(
+        warm, checkpoint = moments_resumable(
             scaled_chain, block, 6, use_doubling=use_doubling
         )
-        seg1, checkpoint = extend_moments_block(scaled_chain, checkpoint, 9)
-        seg2, checkpoint = extend_moments_block(scaled_chain, checkpoint, 21)
+        seg1, checkpoint = extend_recursion(scaled_chain, checkpoint, 9)
+        seg2, checkpoint = extend_recursion(scaled_chain, checkpoint, 21)
         full = np.vstack([warm, seg1, seg2])
         reference = moments_block(scaled_chain, block, 21, use_doubling=use_doubling)
         assert np.array_equal(full, reference)
 
     def test_extend_rejects_non_increasing(self, scaled_chain):
-        from repro.kpm.moments import (
-            extend_moments_single_vector,
-            moments_single_vector_resumable,
-        )
+        from repro.kpm.moments import extend_recursion, moments_resumable
 
         rng = np.random.default_rng(2)
         r0 = rng.standard_normal(32)
-        _, checkpoint = moments_single_vector_resumable(scaled_chain, r0, 8)
+        _, checkpoint = moments_resumable(scaled_chain, r0, 8)
         with pytest.raises(ValidationError):
-            extend_moments_single_vector(scaled_chain, checkpoint, 8)
+            extend_recursion(scaled_chain, checkpoint, 8)
 
     def test_stochastic_extension_matches_cold(self, scaled_chain):
         from repro.kpm.moments import (
@@ -348,4 +346,49 @@ class TestResumable:
         )
         reference = stochastic_moments(scaled_chain, bigger)
         assert np.array_equal(extended.mu, reference.mu)
+        assert np.array_equal(extended.per_realization, reference.per_realization)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"num_random_vectors": 2}, "num_random_vectors"),
+            ({"num_realizations": 2}, "num_realizations"),
+            ({"vector_kind": "gaussian"}, "vector_kind"),
+            ({"seed": 6}, "seed"),
+            ({"use_doubling": True}, "use_doubling"),
+            ({"precision": "single"}, "precision"),
+            # Same R * S = 12 vectors, regrouped.
+            ({"num_random_vectors": 6, "num_realizations": 2}, "num_random_vectors"),
+        ],
+    )
+    def test_stochastic_extension_rejects_changed_run(
+        self, scaled_chain, changes, field
+    ):
+        from repro.kpm.moments import (
+            extend_stochastic_moments,
+            stochastic_moments_resumable,
+        )
+
+        config = KPMConfig(
+            num_moments=8, num_random_vectors=4, num_realizations=3, seed=5
+        )
+        warm, checkpoint = stochastic_moments_resumable(scaled_chain, config)
+        changed = config.with_updates(num_moments=12, **changes)
+        with pytest.raises(ValidationError, match=field):
+            extend_stochastic_moments(scaled_chain, changed, warm, checkpoint)
+
+    def test_stochastic_extension_normalizes_seed(self, scaled_chain):
+        from repro.kpm.moments import (
+            extend_stochastic_moments,
+            stochastic_moments_resumable,
+        )
+
+        config = KPMConfig(num_moments=8, num_random_vectors=2, seed=0)
+        warm, checkpoint = stochastic_moments_resumable(scaled_chain, config)
+        # seed=None is the default stream family, i.e. seed 0: same run.
+        bigger = config.with_updates(num_moments=13, seed=None)
+        extended, _ = extend_stochastic_moments(
+            scaled_chain, bigger, warm, checkpoint
+        )
+        reference = stochastic_moments(scaled_chain, bigger)
         assert np.array_equal(extended.per_realization, reference.per_realization)
