@@ -92,12 +92,14 @@ class DoSResult:
 
 
 def validate_spectral_operator(hamiltonian):
-    """Coerce ``hamiltonian`` to the operator protocol and require symmetry.
+    """Coerce ``hamiltonian`` to the operator protocol; require it finite and symmetric.
 
     The shared admission check of :func:`compute_dos` and the
     :mod:`repro.serve` service layer: KPM is defined for Hermitian
     matrices, and asymmetry is rejected early because it produces
-    silently wrong spectra instead of crashing.
+    silently wrong spectra instead of crashing.  A NaN or infinite
+    entry, or a row sum that overflows, is rejected first: such an
+    operator cannot be rescaled into ``[-1, 1]``.
     """
     op = as_operator(hamiltonian)
     # Tolerance must scale with the overall matrix magnitude (an
@@ -105,10 +107,17 @@ def validate_spectral_operator(hamiltonian):
     # paper's hopping Hamiltonians have a zero diagonal, so a
     # diagonal-only scale collapses to an absolute 1e-12 and spuriously
     # rejects symmetric operators whose entries carry roundoff-level
-    # asymmetry.
-    magnitude = float(
-        np.max(np.abs(op.diagonal()) + op.offdiag_abs_row_sums(), initial=0.0)
-    )
+    # asymmetry.  Every stored entry enters this bound, so it is finite
+    # exactly when the operator is (and its row sums do not overflow).
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = float(
+            np.max(np.abs(op.diagonal()) + op.offdiag_abs_row_sums(), initial=0.0)
+        )
+    if not np.isfinite(magnitude):
+        raise ValidationError(
+            "hamiltonian must be finite; its Gerschgorin bound "
+            f"(|diagonal| + off-diagonal row sums) is {magnitude}"
+        )
     if not op.is_symmetric(tolerance=1e-12 * max(1.0, magnitude)):
         raise ValidationError(
             "hamiltonian must be symmetric; KPM spectral expansions assume a "

@@ -34,6 +34,8 @@ property suite pins both.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,14 +59,83 @@ from repro.serve.requests import (
     moment_identity_key,
 )
 from repro.serve.scheduler import Batch, FifoCoalesceScheduler, QueuedRequest
+from repro.sparse import as_operator
 from repro.timing import WallTimer
 
-__all__ = ["SpectralService"]
+__all__ = ["OperatorFacts", "OperatorMemo", "SpectralService"]
 
 _REQUEST_TYPES = (DoSRequest, LDoSRequest, GreenRequest)
 
 #: Engine label of host-side (non-pooled) LDoS moment computations.
 HOST_ENGINE = "host"
+
+
+@dataclass
+class OperatorFacts:
+    """What the service has derived from one operator's content.
+
+    Attributes
+    ----------
+    validated:
+        The operator passed :func:`~repro.kpm.dos.validate_spectral_operator`.
+        Only successes are recorded: a rejected operator is validated
+        again on every submission.
+    scaled:
+        ``moment_identity_key -> (scaled operator, rescaling)``.  The
+        rescaled (and, with a tuner, re-stored) operator every compute,
+        extension and price of that key runs on.
+    prices:
+        Analytic modeled seconds.  ``(slot name, identity key, config)``
+        holds an engine's ``estimate_modeled_seconds``; ``(engine name,
+        identity key, num_moments)`` holds the naive cost the service
+        accrued for that order (see ``SpectralService._naive_cost``).
+    """
+
+    validated: bool = False
+    scaled: dict = field(default_factory=dict)
+    prices: dict = field(default_factory=dict)
+
+
+class OperatorMemo:
+    """Bounded LRU of :class:`OperatorFacts`, keyed by content fingerprint.
+
+    The key is the operator's ``fingerprint()`` — a hash of its stored
+    content, recomputed on every submission — never its identity, so an
+    operator mutated in place is a new entry.  At most ``capacity``
+    operators are held; an evicted operator's facts are derived again
+    on its next use.  Validation, rescaling and estimates come out the
+    same.  Two facts depend on when they are derived: with a tuner, the
+    tuned storage follows the order of the request that derives it
+    (moments are identical in every format), and a naive cost that fell
+    back to an entry's invested cost is taken from the entry served then.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = max(int(capacity), 1)
+        self._facts: OrderedDict[str, OperatorFacts] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._facts)
+
+    def items(self):
+        """``(fingerprint, facts)`` pairs, least recently used first."""
+        return self._facts.items()
+
+    def get(self, fingerprint: str) -> OperatorFacts | None:
+        """The facts held for ``fingerprint`` (now most recently used), if any."""
+        facts = self._facts.get(fingerprint)
+        if facts is not None:
+            self._facts.move_to_end(fingerprint)
+        return facts
+
+    def facts(self, fingerprint: str) -> OperatorFacts:
+        """The facts for ``fingerprint``; a miss adds them, evicting the LRU."""
+        facts = self.get(fingerprint)
+        if facts is None:
+            facts = self._facts[fingerprint] = OperatorFacts()
+            if len(self._facts) > self.capacity:
+                self._facts.popitem(last=False)
+        return facts
 
 
 class SpectralService:
@@ -78,7 +149,8 @@ class SpectralService:
     cache_capacity:
         Prefix moment-cache entries (``0`` disables caching; split
         siblings are then served through the flush-local forward table
-        instead of silently recomputing).
+        instead of silently recomputing).  The per-operator
+        :class:`OperatorMemo` holds ``max(cache_capacity, 1)`` operators.
     prefix_cache:
         ``False`` restores the PR 3 exact-order cache matching (A/B
         comparison knob; prefix hits and extensions are disabled).
@@ -114,12 +186,10 @@ class SpectralService:
         self.tuner = tuner
         self.cache = MomentCache(cache_capacity, prefix=prefix_cache)
         self.scheduler = FifoCoalesceScheduler(max_batch_size=max_batch_size)
+        self.memo = OperatorMemo(cache_capacity)
+        #: Unbounded on purpose: a few hundred bytes per key, and the
+        #: key->engine map must stay a pure function of the offered trace.
         self._key_affinity: dict[tuple, int] = {}
-        #: Scaled-operator memo per key: rescaling is deterministic, so
-        #: one rescale per identity serves computes, extensions, and the
-        #: analytic naive-cost estimates alike.
-        self._scaled_by_key: dict[tuple, tuple] = {}
-        self._naive_memo: dict[tuple, float | None] = {}
         self._next_seq = 0
         self._requests_total = 0
         self._responses_total = 0
@@ -145,20 +215,30 @@ class SpectralService:
         and enqueue — affinity registration stays pre-admission so the
         key→engine map is a pure function of the offered trace,
         independent of admission outcomes.
+
+        The operator is coerced and fingerprinted first; it is validated
+        only when the memo holds no success for that content.
         """
         if not isinstance(request, _REQUEST_TYPES):
             raise ValidationError(
                 "request must be a DoSRequest, LDoSRequest, or GreenRequest; "
                 f"got {type(request).__name__}"
             )
-        op = validate_spectral_operator(request.hamiltonian)
+        op = as_operator(request.hamiltonian)
         fingerprint_method = getattr(op, "fingerprint", None)
         if fingerprint_method is None:
+            # A defective matrix is reported before the missing hash.
+            validate_spectral_operator(op)
             raise ValidationError(
                 f"operator {type(op).__name__} does not expose fingerprint(); "
                 "the service needs a stable content hash for coalescing and "
                 "caching (CSRMatrix/COOMatrix/DenseOperator all provide one)"
             )
+        fingerprint = fingerprint_method()
+        facts = self.memo.get(fingerprint)
+        if facts is None or not facts.validated:
+            validate_spectral_operator(op)
+            self.memo.facts(fingerprint).validated = True
         site = None
         if isinstance(request, LDoSRequest):
             site = request.site
@@ -166,10 +246,7 @@ class SpectralService:
                 raise ValidationError(
                     f"site {site} out of range for dimension {op.shape[0]}"
                 )
-        key = (
-            fingerprint_method(),
-            moment_identity_key(request.config, site=site),
-        )
+        key = (fingerprint, moment_identity_key(request.config, site=site))
         if key not in self._key_affinity:
             self._key_affinity[key] = len(self._key_affinity)
         return op, key
@@ -437,7 +514,8 @@ class SpectralService:
         every compute, extension, naive-cost estimate, and gateway
         admission price for the key.
         """
-        cached = self._scaled_by_key.get(key)
+        scaled_by_identity = self.memo.facts(key[0]).scaled
+        cached = scaled_by_identity.get(key[1])
         if cached is None:
             scaled, rescaling = rescale_operator(
                 operator, method=config.bounds_method, epsilon=config.epsilon
@@ -448,8 +526,7 @@ class SpectralService:
                 # that format for every request sharing the key.
                 choice = self.tuner.choose(scaled, config)
                 scaled = self.tuner.prepare_operator(scaled, choice)
-            cached = (scaled, rescaling)
-            self._scaled_by_key[key] = cached
+            cached = scaled_by_identity[key[1]] = (scaled, rescaling)
         return cached
 
     def _scaled_for(self, batch: Batch) -> tuple:
@@ -614,26 +691,47 @@ class SpectralService:
     def _naive_cost(
         self, batch: Batch, entry: CacheEntry, num_moments: int
     ) -> float | None:
+        """The naive cost of one member at ``num_moments``, fixed per order.
+
+        The first value accrued for (key, order, engine) is kept while
+        the operator stays in the memo: the producing engine's estimate,
+        or — when that engine has no estimator or has left rotation —
+        the entry's invested cost.
+        """
         if entry.engine == HOST_ENGINE:
             return None
-        memo_key = (batch.key, num_moments, entry.engine)
-        if memo_key in self._naive_memo:
-            return self._naive_memo[memo_key]
-        slot = self._slot_for_engine(entry.engine)
-        estimate = (
-            getattr(slot.engine, "estimate_modeled_seconds", None)
-            if slot is not None
-            else None
-        )
-        if estimate is not None:
-            config = batch.entries[0].request.config
+        prices = self.memo.facts(batch.key[0]).prices
+        naive_key = (entry.engine, batch.key[1], num_moments)
+        if naive_key not in prices:
+            slot = self._slot_for_engine(entry.engine)
+            head = batch.entries[0]
+            config = head.request.config
             if config.num_moments != num_moments:
                 config = config.with_updates(num_moments=num_moments)
-            scaled, _ = self._scaled_for(batch)
-            cost = estimate(scaled, config)
-        else:
-            cost = entry.modeled_seconds
-        self._naive_memo[memo_key] = cost
+            cost = (
+                self._estimate(slot, batch.key, head.operator, config)
+                if slot is not None
+                else None
+            )
+            prices[naive_key] = entry.modeled_seconds if cost is None else cost
+        return prices[naive_key]
+
+    def _estimate(self, slot: EngineSlot, key: tuple, operator, config):
+        """``slot``'s analytic estimate for ``key`` at ``config``, memoized.
+
+        ``None`` when the engine has no ``estimate_modeled_seconds``.  The
+        price is keyed by the full config: LDoS identity keys omit fields
+        the estimator reads (``R``, ``S``, ``block_size``, ``precision``).
+        """
+        estimate = getattr(slot.engine, "estimate_modeled_seconds", None)
+        if estimate is None:
+            return None
+        prices = self.memo.facts(key[0]).prices
+        price_key = (slot.name, key[1], config)
+        cost = prices.get(price_key)
+        if cost is None:
+            scaled, _ = self._scaled_for_key(key, operator, config)
+            cost = prices[price_key] = estimate(scaled, config)
         return cost
 
     def _convergence_estimate(self, entry: CacheEntry) -> float:

@@ -114,12 +114,21 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_dense(cls, dense, *, tolerance: float = 0.0) -> "CSRMatrix":
-        """Build from a dense array, dropping entries with ``|a_ij| <= tolerance``."""
+        """Build from a dense array, dropping entries with ``|a_ij| <= tolerance``.
+
+        Raises :class:`~repro.errors.ValidationError` on a NaN or infinite
+        entry.
+        """
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise ShapeError(f"dense must be 2-D, got shape {dense.shape}")
         if tolerance < 0:
             raise ValidationError(f"tolerance must be >= 0, got {tolerance}")
+        # |NaN| > tolerance is False: without this check a NaN would be
+        # dropped as a structural zero, out of reach of the finiteness
+        # check in __init__.
+        if not np.all(np.isfinite(dense)):
+            raise ValidationError("dense must be finite")
         mask = np.abs(dense) > tolerance
         rows, cols = np.nonzero(mask)
         n_rows = dense.shape[0]

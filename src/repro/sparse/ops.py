@@ -13,6 +13,9 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.dense import DenseOperator
+from repro.sparse.ell import ELLMatrix
 
 __all__ = ["LinearOperatorProtocol", "as_operator", "is_operator"]
 
@@ -40,9 +43,25 @@ class LinearOperatorProtocol(Protocol):
     def offdiag_abs_row_sums(self) -> np.ndarray: ...
 
 
+#: The library's own operator classes, recognized by nominal type.
+_NOMINAL_OPERATORS = (CSRMatrix, ELLMatrix, DenseOperator)
+
+
 def is_operator(obj) -> bool:  # repro: noqa[RA005] -- pure predicate, never raises
-    """True if ``obj`` already implements the operator protocol."""
-    return isinstance(obj, LinearOperatorProtocol)
+    """True if ``obj`` already implements the operator protocol.
+
+    The library's own classes (:class:`~repro.sparse.CSRMatrix`,
+    :class:`~repro.sparse.ELLMatrix`, :class:`~repro.sparse.DenseOperator`)
+    answer by nominal type, which is a plain ``isinstance``.  Any other
+    type gets the structural check against the runtime-checkable
+    :class:`LinearOperatorProtocol`, which walks the protocol's members
+    on every call.  That verdict is not cached per type: the structural
+    check reads instance attributes, so two instances of one foreign
+    type can answer differently.
+    """
+    return isinstance(obj, _NOMINAL_OPERATORS) or isinstance(
+        obj, LinearOperatorProtocol
+    )
 
 
 def as_operator(matrix, *, require_square: bool = True):
@@ -58,7 +77,6 @@ def as_operator(matrix, *, require_square: bool = True):
         Reject non-square operators — the KPM needs a Hamiltonian.
     """
     from repro.sparse.coo import COOMatrix
-    from repro.sparse.dense import DenseOperator
 
     if isinstance(matrix, COOMatrix):
         op = matrix.to_csr()

@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.kpm import KPMConfig, compute_dos, greens_function, local_dos
+from repro.kpm.dos import validate_spectral_operator
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
+from repro.sparse import DenseOperator
 
 
 class TestComputeDos:
@@ -71,6 +73,35 @@ class TestComputeDos:
         # For the clean chain Gerschgorin is already tight (spectrum is
         # exactly [-2, 2]); Lanczos with its pad must land close by.
         assert 2.0 <= result.rescaling.scale <= 2.12
+
+
+class TestNonFiniteOperator:
+    """NaN or inf entries are rejected as such, not as asymmetry."""
+
+    @staticmethod
+    def _inputs(bad):
+        dense = tight_binding_hamiltonian(chain(16), format="dense").to_dense().copy()
+        csr = tight_binding_hamiltonian(chain(16), format="csr")
+        csr.data[0] = bad  # mutated in place, past the constructor's check
+        dense[3, 4] = dense[4, 3] = bad
+        return {
+            "ndarray": dense,
+            "dense-operator": DenseOperator(dense),
+            "csr-mutated": csr,
+        }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["ndarray", "dense-operator", "csr-mutated"])
+    def test_rejected_as_non_finite(self, bad, kind):
+        with pytest.raises(ValidationError, match="finite"):
+            validate_spectral_operator(self._inputs(bad)[kind])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_sum_rejected(self):
+        h = TestSymmetryTolerance._hopping_chain(4, 1e308)
+        with pytest.raises(ValidationError, match="finite"):
+            validate_spectral_operator(h)
 
 
 class TestSymmetryTolerance:

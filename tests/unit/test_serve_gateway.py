@@ -260,3 +260,46 @@ class TestEquivalence:
         assert report.ok
         # The levers must actually have engaged for this to mean much.
         assert report.degraded + report.rejected > 0
+
+
+class TestOperatorMemo:
+    """Admission and batch-cost prices come from the per-operator memo."""
+
+    @pytest.mark.parametrize(
+        "bad_value, message", [(2.0, "symmetric"), (np.nan, "finite")]
+    )
+    def test_rejected_operator_every_offer_takes_no_affinity(
+        self, bad_value, message
+    ):
+        bad = H.to_dense().copy()
+        bad[0, 1] = bad_value
+        gw = gateway(template=("gpu-sim", "cpu-model"), min_active=2)
+        for _ in range(3):
+            with pytest.raises(ValidationError, match=message):
+                gw.offer(DoSRequest(bad, CONFIG))
+        assert len(gw.memo) == 0
+        # Had the rejections taken affinity indices 0-2, this first valid
+        # key would land on slot 3 % 2 = cpu-model.
+        gw.offer(DoSRequest(H, CONFIG))
+        [served] = gw.pump().values()
+        assert served.engine == "gpu-sim"
+
+    def test_memoized_prices_equal_fresh_estimates(self):
+        arrivals = timed_trace(
+            60, seed=5, tenants=3, duration=6.0, deadline_slack=0.5,
+            flash_crowds=1, flash_multiplier=8.0,
+        )
+        gw = gateway(template=("gpu-sim", "cpu-model"), max_active=3,
+                     default_policy=TenantPolicy(rate=0.8, burst=2.0))
+        gw.run_trace(arrivals)
+        slots = {slot.name: slot for slot in gw.pool.slots}
+        checked = 0
+        for _, facts in gw.memo.items():
+            for (name, identity, config), cost in facts.prices.items():
+                if not isinstance(config, KPMConfig):
+                    continue  # a naive cost, fixed per (engine, key, order)
+                scaled, _ = facts.scaled[identity]
+                fresh = slots[name].engine.estimate_modeled_seconds(scaled, config)
+                assert cost == fresh
+                checked += 1
+        assert checked > 0

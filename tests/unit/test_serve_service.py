@@ -6,12 +6,14 @@ import pytest
 from repro.errors import FaultError, LaunchError, OutOfMemoryError, ValidationError
 from repro.kpm import KPMConfig, compute_dos, local_dos
 from repro.kpm.green import greens_function
+from repro.lattice import chain, tight_binding_hamiltonian
 from repro.serve import (
     DoSRequest,
     GreenRequest,
     LDoSRequest,
     SpectralService,
 )
+from repro.sparse import CSRMatrix
 
 
 class FlakyEngine:
@@ -429,3 +431,86 @@ class TestResponseAliasing:
         [response] = service.serve([DoSRequest(chain_csr, low)])
         with pytest.raises(ValueError, match="read-only"):
             response.moments.mu[0] = 99.0
+
+
+class TestOperatorMemo:
+    """Each distinct operator is validated, rescaled and priced once."""
+
+    @staticmethod
+    def _count_validations(monkeypatch) -> list:
+        import repro.serve.service as service_module
+
+        calls = []
+        original = service_module.validate_spectral_operator
+
+        def counted(operator):
+            calls.append(operator)
+            return original(operator)
+
+        monkeypatch.setattr(service_module, "validate_spectral_operator", counted)
+        return calls
+
+    def test_repeat_operator_is_validated_once(
+        self, chain_csr, small_config, monkeypatch
+    ):
+        calls = self._count_validations(monkeypatch)
+        service = SpectralService(backends=("numpy",))
+        for _ in range(3):
+            service.submit(DoSRequest(chain_csr, small_config))
+        service.submit(LDoSRequest(chain_csr, site=3, config=small_config))
+        assert len(calls) == 1
+
+    def test_operator_mutated_in_place_is_validated_again(
+        self, small_config, monkeypatch
+    ):
+        calls = self._count_validations(monkeypatch)
+        op = tight_binding_hamiltonian(chain(32), format="csr")
+        service = SpectralService(backends=("numpy",))
+        service.serve([DoSRequest(op, small_config)])
+        op.data *= 2.0  # still symmetric, but new content: a new key
+        [second] = service.serve([DoSRequest(op, small_config)])
+        assert len(calls) == 2
+        assert second.source == "computed"
+        direct = compute_dos(op, small_config, backend="numpy")
+        assert np.array_equal(second.values, direct.density)
+        op.data[np.flatnonzero(op.indices == 1)[0]] += 1.0  # a_01 != a_10
+        with pytest.raises(ValidationError, match="symmetric"):
+            service.submit(DoSRequest(op, small_config))
+        assert len(calls) == 3
+
+    def test_operator_without_fingerprint_is_validated_first(self, small_config):
+        class Unhashed:
+            """Operator protocol, but no fingerprint()."""
+
+            def __init__(self, op):
+                self.shape = op.shape
+                self.nnz_stored = op.nnz_stored
+                self.nbytes = op.nbytes
+                for name in ("matvec", "matmat", "to_dense", "diagonal",
+                             "offdiag_abs_row_sums", "is_symmetric"):
+                    setattr(self, name, getattr(op, name))
+
+        service = SpectralService(backends=("numpy",))
+        asymmetric = CSRMatrix.from_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ValidationError, match="symmetric"):
+            service.submit(DoSRequest(Unhashed(asymmetric), small_config))
+        symmetric = tight_binding_hamiltonian(chain(8), format="csr")
+        with pytest.raises(ValidationError, match="fingerprint"):
+            service.submit(DoSRequest(Unhashed(symmetric), small_config))
+        assert len(service.memo) == 0
+
+    @pytest.mark.parametrize("capacity", [0, 2])
+    def test_memo_holds_at_most_capacity_operators(self, capacity, small_config):
+        ops = [
+            tight_binding_hamiltonian(chain(16 + 4 * i), format="csr")
+            for i in range(4)
+        ]
+        service = SpectralService(backends=("gpu-sim",), cache_capacity=capacity)
+        # Revisits arrive after their operator was evicted: every fact is
+        # derived again, and the answers do not depend on the bound.
+        for op in ops + ops[::-1] + ops:
+            [response] = service.serve([DoSRequest(op, small_config)])
+            assert len(service.memo) <= max(capacity, 1)
+            direct = compute_dos(op, small_config, backend="gpu-sim")
+            assert np.array_equal(response.moments.mu, direct.moments.mu)
+            assert np.array_equal(response.values, direct.density)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, ValidationError
-from repro.sparse import COOMatrix, CSRMatrix
+from repro.lattice import chain, tight_binding_hamiltonian
+from repro.sparse import COOMatrix, CSRMatrix, DenseOperator, ELLMatrix
 
 
 def dense_example():
@@ -33,6 +34,24 @@ class TestConstruction:
     def test_from_dense_negative_tolerance(self):
         with pytest.raises(ValidationError):
             CSRMatrix.from_dense(np.eye(2), tolerance=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            CSRMatrix.from_dense,
+            ELLMatrix.from_dense,
+            lambda dense: DenseOperator(dense).to_csr(),
+        ],
+        ids=["csr", "ell", "dense-to-csr"],
+    )
+    def test_from_dense_rejects_non_finite(self, bad, convert):
+        # |NaN| > tolerance is False, so a NaN used to become a silent
+        # structural zero: a finite, wrong matrix.
+        dense = tight_binding_hamiltonian(chain(16), format="dense").to_dense().copy()
+        dense[3, 4] = dense[4, 3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            convert(dense)
 
     def test_identity(self):
         eye = CSRMatrix.identity(5)

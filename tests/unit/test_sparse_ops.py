@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, ValidationError
-from repro.sparse import COOMatrix, CSRMatrix, DenseOperator, as_operator, is_operator
+from repro.sparse import (
+    COOMatrix,
+    CSRMatrix,
+    DenseOperator,
+    ELLMatrix,
+    LinearOperatorProtocol,
+    as_operator,
+    is_operator,
+)
 
 
 class TestAsOperator:
@@ -46,6 +54,32 @@ class TestIsOperator:
     def test_true_for_library_types(self):
         assert is_operator(CSRMatrix.identity(2))
         assert is_operator(DenseOperator(np.eye(2)))
+
+    def test_nominal_types_also_match_the_protocol(self):
+        # The nominal fast path must never accept what the structural
+        # check would reject.
+        for op in (
+            CSRMatrix.identity(2),
+            ELLMatrix.from_csr(CSRMatrix.identity(2)),
+            DenseOperator(np.eye(2)),
+        ):
+            assert is_operator(op)
+            assert isinstance(op, LinearOperatorProtocol)
+
+    def test_foreign_type_is_checked_structurally(self):
+        class Wrapped:
+            def __init__(self, op):
+                self.shape = op.shape
+                for name in ("matvec", "matmat", "to_dense", "diagonal",
+                             "offdiag_abs_row_sums"):
+                    setattr(self, name, getattr(op, name))
+                self.nnz_stored = op.nnz_stored
+                self.nbytes = op.nbytes
+
+        full = Wrapped(CSRMatrix.identity(2))
+        assert is_operator(full)
+        del full.matmat
+        assert not is_operator(full)
 
     def test_false_for_ndarray(self):
         assert not is_operator(np.eye(2))
