@@ -1,9 +1,8 @@
 """Figure 5 regeneration bench: time + speedup vs N on the 10^3 lattice.
 
-Prints the same rows the paper's Fig. 5 reports (execution times of the
-CPU and GPU versions and their ratio) and asserts the paper's band:
-speedup ~3.5x, flat over N.  The benchmark time measures the full
-harness (analytic estimators at paper parameters).
+Times the full harness (analytic estimators at paper parameters) and
+prints the rows the paper's Fig. 5 reports.  The paper's band is
+asserted in ``tests/integration/test_figures_end_to_end.py``.
 """
 
 from repro.bench import fig5
@@ -14,9 +13,3 @@ class TestFig5:
         result = benchmark(fig5)
         print()
         print(result.render())
-
-        speedups = result.column("speedup")
-        assert result.column("N") == [128, 256, 512, 1024]
-        # Paper: "The speedup keeps 3.5 times for all the cases."
-        assert all(3.0 <= s <= 4.0 for s in speedups)
-        assert max(speedups) - min(speedups) < 0.25

@@ -1,7 +1,8 @@
 """Figure 7 regeneration bench: time + speedup vs N at H_SIZE=128.
 
-Paper band: speedup rises with N toward ~4x as fixed GPU overheads
-amortize.
+Times the harness and prints the figure's rows.  The paper's band
+(speedup rising with N toward ~4x) is asserted in
+``tests/integration/test_figures_end_to_end.py``.
 """
 
 from repro.bench import fig7
@@ -12,11 +13,3 @@ class TestFig7:
         result = benchmark(fig7)
         print()
         print(result.render())
-
-        speedups = result.column("speedup")
-        assert result.column("N") == [128, 256, 512, 1024, 2048]
-        # Monotone rise ...
-        assert all(b >= a for a, b in zip(speedups, speedups[1:]))
-        # ... toward "almost 4 times".
-        assert 3.4 <= speedups[-1] <= 4.3
-        assert speedups[0] < speedups[-1] - 0.5

@@ -1,7 +1,8 @@
 """Figure 8 regeneration bench: time + speedup vs H_SIZE at N=128.
 
-Paper band: ~4x GPU advantage; the CPU degrades once the dense matrix
-leaves cache while the GPU curve stays ~O(H_SIZE^2).
+Times the harness and prints the figure's rows.  The paper's band
+(~4x GPU advantage, CPU cache cliff, GPU at O(H_SIZE^2)) is asserted in
+``tests/integration/test_figures_end_to_end.py``.
 """
 
 from repro.bench import fig8
@@ -12,16 +13,3 @@ class TestFig8:
         result = benchmark(fig8)
         print()
         print(result.render())
-
-        speedups = result.column("speedup")
-        assert result.column("H_SIZE") == [512, 1024, 2048, 4096]
-        assert all(3.0 <= s <= 4.7 for s in speedups)
-
-        cpu = result.column("cpu_seconds")
-        gpu = result.column("gpu_seconds")
-        cpu_ratios = [b / a for a, b in zip(cpu, cpu[1:])]
-        gpu_ratios = [b / a for a, b in zip(gpu, gpu[1:])]
-        # CPU exceeds pure O(D^2) growth somewhere (cache cliff) ...
-        assert max(cpu_ratios) > 4.3
-        # ... while the GPU stays at O(D^2).
-        assert all(r <= 4.3 for r in gpu_ratios)

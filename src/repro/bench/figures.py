@@ -32,7 +32,7 @@ from repro.cluster import (
 )
 from repro.cpu import CORE_I7_930, CpuSpec, estimate_cpu_kpm_seconds
 from repro.gpu.spec import TESLA_C2050, GpuSpec
-from repro.gpukpm import estimate_gpu_kpm_seconds, tune_block_size
+from repro.gpukpm import estimate_gpu_kpm_seconds, tune_block_size, uniform_csr_model
 from repro.kpm import KPMConfig, compute_dos, rescale_operator
 from repro.lattice import cubic, tight_binding_hamiltonian
 from repro.util.validation import check_positive_int
@@ -69,15 +69,13 @@ def _timing_rows(
     gpu: GpuSpec,
     cpu: CpuSpec,
     base_config: KPMConfig,
-    nnz_of=None,
 ):
     """Shared sweep core: (x, D, N) triples -> (x, cpu_s, gpu_s, speedup)."""
     rows = []
     for x, dim, n in dimensions_and_orders:
         config = base_config.with_updates(num_moments=n)
-        nnz = None if nnz_of is None else nnz_of(dim)
-        cpu_s = estimate_cpu_kpm_seconds(cpu, dim, config, nnz=nnz)
-        gpu_s = estimate_gpu_kpm_seconds(gpu, dim, config, nnz=nnz)
+        cpu_s = estimate_cpu_kpm_seconds(cpu, dim, config)
+        gpu_s = estimate_gpu_kpm_seconds(gpu, dim, config)
         rows.append((x, cpu_s, gpu_s, cpu_s / gpu_s))
     return rows
 
@@ -297,7 +295,9 @@ def crs_vs_dense_ablation(
         nnz = 7 * dim  # six neighbors + stored zero diagonal
         config = PAPER_FIG5_CONFIG.with_updates(num_moments=num_moments)
         gpu_dense = estimate_gpu_kpm_seconds(gpu, dim, config)
-        gpu_csr = estimate_gpu_kpm_seconds(gpu, dim, config, nnz=nnz)
+        gpu_csr = estimate_gpu_kpm_seconds(
+            gpu, dim, config, spmv=uniform_csr_model(dim, nnz)
+        )
         cpu_dense = estimate_cpu_kpm_seconds(cpu, dim, config)
         cpu_csr = estimate_cpu_kpm_seconds(cpu, dim, config, nnz=nnz)
         rows.append(
@@ -625,17 +625,19 @@ def transport_ablation(
 
     dim = side**3
     nnz = 7 * dim
-    current_nnz = 2 * dim  # one +axis bond per site, antisymmetrized
+    matrices = dict(
+        spmv=uniform_csr_model(dim, nnz),
+        # One +axis bond per site, antisymmetrized.
+        current_spmv=uniform_csr_model(dim, 2 * dim),
+    )
     rows = []
     for n in n_values:
         config = PAPER_FIG5_CONFIG.with_updates(num_moments=n)
-        gpu_s = estimate_gpu_conductivity_seconds(
-            gpu, dim, config, nnz=nnz, current_nnz=current_nnz
-        )
+        gpu_s = estimate_gpu_conductivity_seconds(gpu, dim, config, **matrices)
         # CPU: same work accounting through the scalar roofline.
         from repro.gpukpm import per_vector_conductivity_stats
 
-        pv = per_vector_conductivity_stats(dim, n, nnz=nnz, current_nnz=current_nnz)
+        pv = per_vector_conductivity_stats(dim, n, **matrices)
         stack_bytes = 2 * n * dim * 8
         cpu_s = config.total_vectors * phase_time(
             cpu,
@@ -643,9 +645,7 @@ def transport_ablation(
             bytes_moved=pv.gmem_read_bytes + pv.gmem_write_bytes,
             footprint_bytes=nnz * 16 + stack_bytes,
         )
-        memory = plan_conductivity_memory(
-            gpu, dim, config, nnz=nnz, current_nnz=current_nnz
-        )
+        memory = plan_conductivity_memory(gpu, dim, config, **matrices)
         rows.append(
             (n, cpu_s, gpu_s, cpu_s / gpu_s, sum(memory.values()) / 1024**2)
         )

@@ -42,8 +42,13 @@ from repro.cluster import (
 from repro.cpu import CORE_I7_930, estimate_cpu_kpm_seconds
 from repro.errors import ReproError
 from repro.gpu import TESLA_C2050
-from repro.gpukpm import estimate_gpu_kpm_seconds
-from repro.kpm import available_backends, available_kernels, rescale_operator
+from repro.gpukpm import GpuKPM
+from repro.kpm import (
+    available_backends,
+    available_kernels,
+    rescale_operator,
+    validate_spectral_operator,
+)
 from repro.lattice import (
     chain,
     cubic,
@@ -178,6 +183,13 @@ def _cmd_time(args) -> int:
     config = _config_from_args(args)
     dim = hamiltonian.shape[0]
     nnz = hamiltonian.nnz_stored if args.storage == "csr" else None
+    # The GPU row prices the operator `dos --backend gpu-sim` would run:
+    # same rescaling, same per-format SpMV model.
+    scaled, _ = rescale_operator(
+        validate_spectral_operator(hamiltonian),
+        method=config.bounds_method,
+        epsilon=config.epsilon,
+    )
     rows = [
         (
             "cpu (Core i7 930)",
@@ -185,7 +197,7 @@ def _cmd_time(args) -> int:
         ),
         (
             "gpu (Tesla C2050)",
-            estimate_gpu_kpm_seconds(TESLA_C2050, dim, config, nnz=nnz),
+            GpuKPM(TESLA_C2050).estimate_modeled_seconds(scaled, config),
         ),
     ]
     rows.append(("speedup", rows[0][1] / rows[1][1]))

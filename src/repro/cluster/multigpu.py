@@ -42,6 +42,7 @@ from repro.errors import DeviceError, DeviceLostError, FaultError, ValidationErr
 from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.estimator import gpu_kpm_breakdown
 from repro.gpukpm.pipeline import CheckpointChunk, GpuKPM
+from repro.gpukpm.spmv import _itemsize, _matvec_model
 from repro.kpm.config import KPMConfig
 from repro.kpm.moments import MomentData
 from repro.trace.tracer import current_tracer
@@ -61,7 +62,6 @@ __all__ = [
 ]
 
 _FLOAT = 8
-_INDEX = 8
 #: Payload of one rebalance coordination message: (start, count, node).
 _RANGE_MSG_BYTES = 24
 
@@ -103,19 +103,6 @@ def _partition(total: int, parts: int) -> list[tuple[int, int]]:
     return slices
 
 
-def _matrix_bytes(
-    dimension: int, nnz: int | None, spmv=None, *, precision: str = "double"
-) -> float:
-    # Value arrays shrink with the precision (matching the pipeline's
-    # uploads); index arrays stay 8-byte regardless.
-    item = _FLOAT if precision == "double" else 4
-    if spmv is not None:
-        return float(sum(spmv.upload_bytes))
-    if nnz is None:
-        return dimension * dimension * item
-    return nnz * (item + _INDEX) + (dimension + 1) * _INDEX
-
-
 def _tree_stages(num_devices: int) -> int:
     return math.ceil(math.log2(num_devices)) if num_devices > 1 else 0
 
@@ -125,7 +112,6 @@ def broadcast_seconds(
     dimension: int,
     num_devices: int,
     *,
-    nnz: int | None = None,
     spmv=None,
     precision: str = "double",
 ) -> float:
@@ -133,15 +119,14 @@ def broadcast_seconds(
 
     The single source of the broadcast cost formula: the functional
     driver, the analytic estimator, and the recovery accounting all call
-    this helper, so they cannot drift apart.  ``spmv`` (a
-    :class:`~repro.gpukpm.spmv.SpmvModel`) prices the exact per-format
-    upload arrays; ``nnz`` keeps the legacy scalar-CSR accounting with
-    ``precision``-sized values.
+    this helper, so they cannot drift apart.  The payload is the exact
+    per-format upload arrays of ``spmv`` (a
+    :class:`~repro.gpukpm.spmv.SpmvModel`); ``None`` broadcasts the
+    dense ``precision``-sized matrix.
     """
     stages = _tree_stages(num_devices)
-    return stages * interconnect.message_seconds(
-        _matrix_bytes(dimension, nnz, spmv, precision=precision)
-    )
+    matrix = _matvec_model(spmv, dimension, _itemsize(precision))
+    return stages * interconnect.message_seconds(float(sum(matrix.upload_bytes)))
 
 
 def allreduce_seconds(
@@ -163,7 +148,6 @@ def multigpu_breakdown(
     num_devices: int,
     *,
     interconnect: InterconnectSpec = INFINIBAND_QDR,
-    nnz: int | None = None,
     spmv=None,
 ) -> dict[str, float]:
     """Modeled seconds per phase of the (fault-free) cluster run.
@@ -181,7 +165,6 @@ def multigpu_breakdown(
         interconnect,
         dimension,
         num_devices,
-        nnz=nnz,
         spmv=spmv,
         precision=config.precision,
     )
@@ -193,9 +176,7 @@ def multigpu_breakdown(
         node_cfg = config.with_updates(
             num_random_vectors=count, num_realizations=1
         )
-        node = sum(
-            gpu_kpm_breakdown(spec, dimension, node_cfg, nnz=nnz, spmv=spmv).values()
-        )
+        node = sum(gpu_kpm_breakdown(spec, dimension, node_cfg, spmv=spmv).values())
         compute = max(compute, node)
     return {"broadcast": broadcast, "compute": compute, "allreduce": allreduce}
 
@@ -207,7 +188,6 @@ def estimate_multigpu_seconds(
     num_devices: int,
     *,
     interconnect: InterconnectSpec = INFINIBAND_QDR,
-    nnz: int | None = None,
     spmv=None,
 ) -> float:
     """Total modeled cluster wall time (sum of the breakdown)."""
@@ -218,7 +198,6 @@ def estimate_multigpu_seconds(
             config,
             num_devices,
             interconnect=interconnect,
-            nnz=nnz,
             spmv=spmv,
         ).values()
     )

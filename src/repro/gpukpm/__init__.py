@@ -32,6 +32,7 @@ from repro.gpukpm.spmv import (
     SpmvModel,
     default_spmv_format,
     spmv_model_for,
+    uniform_csr_model,
 )
 from repro.gpukpm.estimator import estimate_gpu_kpm_seconds, gpu_kpm_breakdown
 from repro.gpukpm.blocksize import BlockSizePoint, tune_block_size
@@ -58,6 +59,7 @@ __all__ = [
     "SpmvModel",
     "default_spmv_format",
     "spmv_model_for",
+    "uniform_csr_model",
     "estimate_gpu_kpm_seconds",
     "gpu_kpm_breakdown",
     "BlockSizePoint",

@@ -46,7 +46,6 @@ def tune_block_size(
     config: KPMConfig | None = None,
     *,
     candidates=DEFAULT_CANDIDATES,
-    nnz: int | None = None,
 ) -> tuple[BlockSizePoint, list[BlockSizePoint]]:
     """Sweep BLOCK_SIZE and return ``(best, all_points)``.
 
@@ -62,7 +61,7 @@ def tune_block_size(
             continue
         trial = config.with_updates(block_size=candidate)
         try:
-            seconds = estimate_gpu_kpm_seconds(spec, dimension, trial, nnz=nnz)
+            seconds = estimate_gpu_kpm_seconds(spec, dimension, trial)
         except LaunchError:
             continue
         num_blocks = -(-trial.total_vectors // candidate)

@@ -33,12 +33,8 @@ from repro.gpu.kernel import KernelStats, kernel
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.kernels import DeviceMatrix
-from repro.gpukpm.stats import (
-    CSR_MATVEC_COALESCING,
-    DENSE_MATVEC_COALESCING,
-    _itemsize,
-    plan_grid,
-)
+from repro.gpukpm.spmv import _itemsize, _matvec_model, uniform_csr_model
+from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
 from repro.kpm.random_vectors import random_vector
 from repro.sparse import CSRMatrix, as_operator
@@ -53,31 +49,15 @@ __all__ = [
     "GpuConductivity",
 ]
 
-_INDEX = 8
 _RNG_FLOPS_PER_ELEMENT = 4.0
-
-
-def _matrix_traffic(dim: int, nnz: int | None, item: int) -> tuple[float, float, float]:
-    """(flops, read bytes, coalescing) of one matvec with the stored matrix."""
-    if nnz is None:
-        return (
-            2.0 * dim * dim,
-            dim * dim * item + dim * item,
-            DENSE_MATVEC_COALESCING,
-        )
-    return (
-        2.0 * nnz,
-        nnz * (item + _INDEX) + (dim + 1) * _INDEX + dim * item,
-        CSR_MATVEC_COALESCING,
-    )
 
 
 def per_vector_conductivity_stats(
     dimension: int,
     num_moments: int,
     *,
-    nnz: int | None = None,
-    current_nnz: int | None = None,
+    spmv=None,
+    current_spmv=None,
     block_size: int | None = None,
     precision: str = "double",
 ) -> KernelStats:
@@ -85,7 +65,9 @@ def per_vector_conductivity_stats(
 
     Two Chebyshev recursions over ``H~`` (with the stacks written to
     global memory), ``N + 1`` applications of the current operator, and
-    the ``2 N^2 D`` Gram contraction.
+    the ``2 N^2 D`` Gram contraction.  ``spmv`` and ``current_spmv`` are
+    the :class:`~repro.gpukpm.spmv.SpmvModel` of ``H~`` and of the
+    current operator; ``None`` prices a dense matrix.
     """
     dim = check_positive_int(dimension, "dimension")
     n = check_positive_int(num_moments, "num_moments")
@@ -94,19 +76,19 @@ def per_vector_conductivity_stats(
         1.0 if block_size is None else min(1.0, dim / check_positive_int(block_size, "block_size"))
     )
     vec_bytes = dim * item
-    h_flops, h_read, h_coalescing = _matrix_traffic(dim, nnz, item)
-    a_flops, a_read, _ = _matrix_traffic(dim, current_nnz, item)
+    h = _matvec_model(spmv, dim, item)
+    a = _matvec_model(current_spmv, dim, item)
 
     flops = _RNG_FLOPS_PER_ELEMENT * dim          # RNG
     read = 0.0
     write = float(vec_bytes)
     # Two recursions of N-1 steps each (matvec + axpy), stacks stored.
-    flops += 2 * (n - 1) * (h_flops + 2.0 * dim)
-    read += 2 * (n - 1) * (h_read + 2.0 * vec_bytes)
+    flops += 2 * (n - 1) * (h.flops_per_matvec + 2.0 * dim)
+    read += 2 * (n - 1) * (h.read_bytes_per_matvec + 2.0 * vec_bytes)
     write += 2 * (n - 1) * vec_bytes
     # Current operator: once on |r>, once per phi_m.
-    flops += (n + 1) * a_flops
-    read += (n + 1) * a_read
+    flops += (n + 1) * a.flops_per_matvec
+    read += (n + 1) * a.read_bytes_per_matvec
     write += (n + 1) * vec_bytes
     # Gram contraction mu_nm += L R^T: 2 N^2 D flops, stacks re-streamed.
     flops += 2.0 * n * n * dim
@@ -116,7 +98,7 @@ def per_vector_conductivity_stats(
         flops=flops,
         gmem_read_bytes=read,
         gmem_write_bytes=write,
-        coalescing=h_coalescing,
+        coalescing=h.coalescing,
         thread_efficiency=thread_efficiency,
         precision=precision,
     )
@@ -142,23 +124,17 @@ def plan_conductivity_memory(
     dimension: int,
     config: KPMConfig,
     *,
-    nnz: int | None = None,
-    current_nnz: int | None = None,
+    spmv=None,
+    current_spmv=None,
 ) -> dict[str, int]:
     """Planned device bytes per buffer (matches the runner's allocations)."""
     plan = plan_grid(config.total_vectors, config.block_size, spec)
     item = _itemsize(config.precision)
     dim = check_positive_int(dimension, "dimension")
     n = config.num_moments
-
-    def matrix_bytes(count):
-        if count is None:
-            return dim * dim * item
-        return count * (item + _INDEX) + (dim + 1) * _INDEX
-
     return {
-        "hamiltonian": matrix_bytes(nnz),
-        "current": matrix_bytes(current_nnz),
+        "hamiltonian": sum(_matvec_model(spmv, dim, item).upload_bytes),
+        "current": sum(_matvec_model(current_spmv, dim, item).upload_bytes),
         "stacks": plan.num_blocks * 2 * n * dim * item,
         "partials": plan.num_blocks * n * n * item,
         "result": n * n * item,
@@ -341,14 +317,14 @@ class GpuConductivity:
                     device.memcpy_htod(d_ptr, op.indptr)
                     return (
                         DeviceMatrix(csr_data=d_data, csr_indices=d_idx, csr_indptr=d_ptr, shape=op.shape),
-                        op.nnz_stored,
+                        uniform_csr_model(dim, op.nnz_stored, precision=config.precision),
                     )
                 d_mat = device.alloc((dim, dim), dtype=dtype, name=f"{name}.dense")
                 device.memcpy_htod(d_mat, op.to_dense().astype(dtype))
                 return DeviceMatrix(dense=d_mat), None
 
-            matrix, nnz = upload(h_op, "H")
-            current_dev, current_nnz = upload(a_op, "A")
+            matrix, spmv = upload(h_op, "H")
+            current_dev, current_spmv = upload(a_op, "A")
             stacks = device.alloc((plan.num_blocks, 2, n, dim), dtype=dtype, name="stacks")
             partials = device.alloc((plan.num_blocks, n, n), dtype=dtype, name="partials")
             result = device.alloc((n, n), dtype=dtype, name="mu_nm")
@@ -356,14 +332,14 @@ class GpuConductivity:
             pv_stats = per_vector_conductivity_stats(
                 dim,
                 n,
-                nnz=nnz,
-                current_nnz=current_nnz,
+                spmv=spmv,
+                current_spmv=current_spmv,
                 block_size=plan.block_size,
                 precision=config.precision,
             )
             footprint = (
                 plan_conductivity_memory(
-                    self.spec, dim, config, nnz=nnz, current_nnz=current_nnz
+                    self.spec, dim, config, spmv=spmv, current_spmv=current_spmv
                 )["hamiltonian"]
                 + min(plan.num_blocks, self.spec.sm_count) * 2 * n * dim * (8 if config.precision == "double" else 4)
             )
@@ -424,10 +400,15 @@ def estimate_gpu_conductivity_seconds(
     dimension: int,
     config: KPMConfig,
     *,
-    nnz: int | None = None,
-    current_nnz: int | None = None,
+    spmv=None,
+    current_spmv=None,
 ) -> float:
-    """Analytic modeled time of :meth:`GpuConductivity.run` (exact match)."""
+    """Analytic modeled time of :meth:`GpuConductivity.run` (exact match).
+
+    ``spmv`` and ``current_spmv`` describe the two stored matrices as in
+    :func:`per_vector_conductivity_stats`; the runner charges CSR
+    operators as :func:`~repro.gpukpm.spmv.uniform_csr_model`.
+    """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     dim = check_positive_int(dimension, "dimension")
@@ -436,25 +417,20 @@ def estimate_gpu_conductivity_seconds(
     item = _itemsize(config.precision)
 
     memory = plan_conductivity_memory(
-        spec, dim, config, nnz=nnz, current_nnz=current_nnz
+        spec, dim, config, spmv=spmv, current_spmv=current_spmv
     )
     uploads = 0.0
-    for key, matrix_nnz in (("hamiltonian", nnz), ("current", current_nnz)):
-        if matrix_nnz is None:
-            uploads += transfer_cost(spec, memory[key])
-        else:
-            uploads += (
-                transfer_cost(spec, matrix_nnz * item)
-                + transfer_cost(spec, matrix_nnz * _INDEX)
-                + transfer_cost(spec, (dim + 1) * _INDEX)
-            )
+    for model in (spmv, current_spmv):
+        uploads += sum(
+            transfer_cost(spec, b) for b in _matvec_model(model, dim, item).upload_bytes
+        )
     download = transfer_cost(spec, n * n * item)
 
     pv_stats = per_vector_conductivity_stats(
         dim,
         n,
-        nnz=nnz,
-        current_nnz=current_nnz,
+        spmv=spmv,
+        current_spmv=current_spmv,
         block_size=plan.block_size,
         precision=config.precision,
     )

@@ -17,6 +17,7 @@ from repro.errors import ValidationError
 from repro.gpu.costmodel import kernel_cost, transfer_cost
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
+from repro.gpukpm.spmv import _matvec_model
 from repro.gpukpm.stats import (
     plan_grid,
     recursion_launch_stats,
@@ -27,26 +28,21 @@ from repro.util.validation import check_positive_int
 
 __all__ = ["gpu_kpm_breakdown", "estimate_gpu_kpm_seconds"]
 
-_FLOAT = 8
-_INDEX = 8
-
 
 def gpu_kpm_breakdown(
     spec: GpuSpec,
     dimension: int,
     config: KPMConfig,
     *,
-    nnz: int | None = None,
     spmv=None,
 ) -> dict[str, float]:
     """Modeled seconds per phase of the GPU pipeline.
 
-    Parameters mirror :func:`repro.cpu.cpu_kpm_breakdown`: ``nnz=None``
-    prices the dense path, ``nnz`` the legacy scalar-CSR accounting, and
-    ``spmv`` (an :class:`repro.gpukpm.spmv.SpmvModel`) the format-aware
-    accounting — upload arrays, SpMV work, and irregular-access
+    ``spmv`` (an :class:`repro.gpukpm.spmv.SpmvModel`) describes the
+    stored matrix — upload arrays, SpMV work, and irregular-access
     penalties all come from the model, matching what the executed
-    pipeline charges for that format.
+    pipeline charges for that format.  ``None`` prices the paper's
+    dense sweep.
 
     Returns
     -------
@@ -63,22 +59,10 @@ def gpu_kpm_breakdown(
     plan = plan_grid(total_vectors, config.block_size, spec)
     item = 8 if config.precision == "double" else 4
 
-    # Transfers: upload H~ (1 dense buffer, 3 CSR arrays, or the model's
-    # exact array list), download the mu~ table and the reduced moments —
-    # matching the pipeline exactly.
-    if spmv is not None:
-        if nnz is not None:
-            raise ValidationError("pass either nnz or spmv, not both")
-        upload = sum(transfer_cost(spec, b) for b in spmv.upload_bytes)
-    elif nnz is None:
-        upload = transfer_cost(spec, dim * dim * item)
-    else:
-        nnz = check_positive_int(nnz, "nnz")
-        upload = (
-            transfer_cost(spec, nnz * item)
-            + transfer_cost(spec, nnz * _INDEX)
-            + transfer_cost(spec, (dim + 1) * _INDEX)
-        )
+    # Transfers: upload H~ (the model's exact array list), download the
+    # mu~ table and the reduced moments — matching the pipeline exactly.
+    spmv = _matvec_model(spmv, dim, item)
+    upload = sum(transfer_cost(spec, b) for b in spmv.upload_bytes)
     download = transfer_cost(spec, total_vectors * num_moments * item)
     download += transfer_cost(spec, num_moments * item)
 
@@ -92,7 +76,6 @@ def gpu_kpm_breakdown(
             num_moments,
             plan,
             spec,
-            nnz=nnz,
             spmv=spmv,
             precision=config.precision,
         ),
@@ -120,12 +103,9 @@ def estimate_gpu_kpm_seconds(
     dimension: int = 1000,
     config: KPMConfig | None = None,
     *,
-    nnz: int | None = None,
     spmv=None,
 ) -> float:
     """Total modeled GPU seconds for a KPM run (sum of the breakdown)."""
     dimension = check_positive_int(dimension, "dimension")
     config = KPMConfig() if config is None else config
-    return sum(
-        gpu_kpm_breakdown(spec, dimension, config, nnz=nnz, spmv=spmv).values()
-    )
+    return sum(gpu_kpm_breakdown(spec, dimension, config, spmv=spmv).values())

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.gpu.spec import GpuSpec
+from repro.gpukpm.spmv import _matvec_model
 from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
 from repro.util.format import format_bytes
 from repro.util.validation import check_positive_int
 
 __all__ = ["paper_memory_bytes", "MemoryPlan", "plan_memory"]
-
-_FLOAT = 8
-_INDEX = 8
 
 
 def paper_memory_bytes(num_blocks: int, h_size: int, num_moments: int) -> int:
@@ -88,10 +86,13 @@ def plan_memory(
     dimension: int,
     config: KPMConfig,
     *,
-    nnz: int | None = None,
+    spmv=None,
 ) -> MemoryPlan:
     """Compute the allocation plan the pipeline will perform.
 
+    ``spmv`` is the :class:`~repro.gpukpm.spmv.SpmvModel` the run is
+    charged with (``GpuKPM.last_spmv``); its upload arrays are the
+    matrix allocations.  ``None`` plans the paper's dense buffer.
     Matches :class:`repro.gpukpm.GpuKPM` byte-for-byte (tests pin this
     against the device pool's peak usage).
     """
@@ -100,13 +101,8 @@ def plan_memory(
     dim = check_positive_int(dimension, "dimension")
     plan = plan_grid(config.total_vectors, config.block_size, spec)
     item = 8 if config.precision == "double" else 4
-    if nnz is None:
-        matrix_bytes = dim * dim * item
-    else:
-        nnz = check_positive_int(nnz, "nnz")
-        matrix_bytes = nnz * (item + _INDEX) + (dim + 1) * _INDEX
     return MemoryPlan(
-        matrix_bytes=matrix_bytes,
+        matrix_bytes=sum(_matvec_model(spmv, dim, item).upload_bytes),
         workspace_bytes=plan.num_blocks * 4 * dim * item,
         moment_table_bytes=config.total_vectors * config.num_moments * item,
         moment_result_bytes=config.num_moments * item,

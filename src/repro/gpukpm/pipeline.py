@@ -27,7 +27,6 @@ from repro.gpukpm.kernels import DeviceMatrix, kpm_recursion_kernel, reduce_mome
 from repro.gpukpm.spmv import SPMV_FORMATS, SpmvModel, default_spmv_format, spmv_model_for
 from repro.gpukpm.stats import (
     per_vector_recursion_stats,
-    per_vector_resume_stats,
     plan_grid,
     recursion_footprint_bytes,
     reduce_launch_stats,
@@ -562,23 +561,14 @@ class GpuKPM:
                 )
 
             # --- part (a): recursion ------------------------------------
-            if resuming:
-                pv_stats = per_vector_resume_stats(
-                    dim,
-                    start_moment,
-                    num_moments,
-                    spmv=spmv,
-                    block_size=plan.block_size,
-                    precision=config.precision,
-                )
-            else:
-                pv_stats = per_vector_recursion_stats(
-                    dim,
-                    num_moments,
-                    spmv=spmv,
-                    block_size=plan.block_size,
-                    precision=config.precision,
-                )
+            pv_stats = per_vector_recursion_stats(
+                dim,
+                num_moments,
+                spmv=spmv,
+                block_size=plan.block_size,
+                precision=config.precision,
+                start_moment=start_moment,
+            )
             footprint = recursion_footprint_bytes(
                 dim, plan, self.spec, spmv=spmv, precision=config.precision
             )

@@ -44,13 +44,17 @@ from dataclasses import dataclass
 from repro.errors import ValidationError
 from repro.gpu.costmodel import gather_miss_fraction, row_imbalance_efficiency
 from repro.sparse.fingerprint import StructureProfile, structure_profile
+from repro.util.validation import check_nonnegative_int, check_positive_int
 
 __all__ = [
     "SPMV_FORMATS",
     "VECTOR_WIDTHS",
     "SpmvModel",
     "spmv_model_for",
+    "uniform_csr_model",
     "default_spmv_format",
+    "DENSE_MATVEC_COALESCING",
+    "CSR_MATVEC_COALESCING",
 ]
 
 _INDEX = 8
@@ -61,6 +65,13 @@ SPMV_FORMATS = ("dense", "csr", "csr-vector", "ell")
 #: Warp-team widths the csr-vector program supports (lanes per row).
 VECTOR_WIDTHS = (2, 4, 8, 16, 32)
 
+#: Achievable bandwidth fraction of the row-per-thread dense sweep: the
+#: paper's sweep over a row-major matrix produces strided (partially
+#: coalesced) loads, one of the documented reasons its measured speedup
+#: sits near 4x rather than at the bandwidth ratio.
+DENSE_MATVEC_COALESCING = 0.5
+#: Achievable bandwidth fraction of the CSR gather.
+CSR_MATVEC_COALESCING = 0.7
 #: Achievable bandwidth fraction of the fully coalesced ELL stream.
 ELL_COALESCING = 0.95
 
@@ -122,8 +133,6 @@ def _gather_bytes(profile: StructureProfile, stored_slots: float, item: int) -> 
 
 
 def _dense_model(dim: int, item: int) -> SpmvModel:
-    from repro.gpukpm.stats import DENSE_MATVEC_COALESCING
-
     matrix_bytes = float(dim * dim * item)
     return SpmvModel(
         format="dense",
@@ -138,11 +147,14 @@ def _dense_model(dim: int, item: int) -> SpmvModel:
     )
 
 
+def _matvec_model(spmv: SpmvModel | None, dim: int, item: int) -> SpmvModel:
+    """``spmv``, or the paper's dense sweep when it is ``None``."""
+    return _dense_model(dim, item) if spmv is None else spmv
+
+
 def _csr_model(
     profile: StructureProfile, item: int, *, vector_width: int = 1
 ) -> SpmvModel:
-    from repro.gpukpm.stats import CSR_MATVEC_COALESCING
-
     dim = profile.dimension
     nnz = profile.nnz
     matrix_bytes = float(nnz * (item + _INDEX) + (dim + 1) * _INDEX)
@@ -234,6 +246,42 @@ def spmv_model_for(
             )
         return _csr_model(profile, item, vector_width=vector_width)
     return _ell_model(profile, item)
+
+
+def uniform_csr_model(
+    dimension: int, nnz: int, *, precision: str = "double"
+) -> SpmvModel:
+    """Scalar-CSR model of a matrix known only by its counts.
+
+    For sweeps priced from ``(D, nnz)`` alone — the CRS and transport
+    ablations, the conductivity runner — where no operator exists to
+    profile.  The matrix is taken as ``nnz / D`` entries per row whose
+    columns stay within the gather's near window, so the ``csr`` model
+    pays no gather miss and no row imbalance: this equals
+    ``spmv_model_for(op, "csr")`` of any uniform-row operator with that
+    locality (a 3^3 periodic cube, for one).
+    """
+    dim = check_positive_int(dimension, "dimension")
+    nnz = check_nonnegative_int(nnz, "nnz")
+    item = _itemsize(precision)
+    if nnz > dim * dim:
+        raise ValidationError(
+            f"nnz must be at most dimension**2 = {dim * dim}, got {nnz}"
+        )
+    uniform = StructureProfile(
+        dimension=dim,
+        n_cols=dim,
+        nnz=nnz,
+        density=nnz / (dim * dim),
+        row_nnz_max=math.ceil(nnz / dim),
+        row_nnz_mean=nnz / dim,
+        row_nnz_min=nnz // dim,
+        row_nnz_var=0.0,
+        bandwidth=0,
+        mean_abs_offset=0.0,
+        dtype="float64",
+    )
+    return _csr_model(uniform, item)
 
 
 def default_spmv_format(operator) -> str:

@@ -6,28 +6,30 @@ launch schedule — the tests pin their equality.  Both therefore build
 their grids with :func:`plan_grid` and their per-launch
 :class:`~repro.gpu.KernelStats` with the functions here.
 
-Work accounting per random vector (``D = H_SIZE``, ``N`` moments):
+Work accounting per random vector (``D = H_SIZE``, ``N`` moments,
+``item`` bytes per float):
 
-=============  ==========================  =============================
-phase          FLOPs                        global traffic (bytes)
-=============  ==========================  =============================
-RNG            ``4 D``                      write ``8 D``
-matvec (x N-1) dense ``2 D^2``              read ``8 D^2 + 8 D``, write ``8 D``
-               CSR ``2 nnz``                read ``16 nnz + 8(D+1) + 8 D``, write ``8 D``
-axpy  (x N-1)  ``2 D``                      read ``16 D``, write ``8 D``
-dot   (x N)    ``2 D``                      read ``16 D``, write ``8``
-=============  ==========================  =============================
+================  ======================  ====================================
+phase             FLOPs                   global traffic (bytes)
+================  ======================  ====================================
+RNG               ``4 D``                 write ``item D``
+prologue          —                       read ``load``
+matvec (x steps)  ``flops_per_matvec``    read ``read_bytes_per_matvec``,
+                                          write ``item D``
+axpy (x steps)    ``2 D``                 read ``2 item D``, write ``item D``
+dot (x dots)      ``2 D``                 read ``2 item D``, write ``item``
+================  ======================  ====================================
 
-The dense matvec is charged with ``coalescing = 0.5``: the paper's
-row-per-thread sweep over a row-major matrix produces strided (partially
-coalesced) loads, one of the documented reasons its measured speedup sits
-near 4x rather than at the bandwidth ratio.
+The matvec row — its work, ``coalescing`` and ``thread_efficiency`` —
+is read from the :class:`~repro.gpukpm.spmv.SpmvModel` of the stored
+matrix; ``spmv=None`` is the paper's dense sweep
+(``spmv_model_for(H, "dense")``).  Two prologues cover every launch:
 
-Every function accepts either the legacy ``nnz`` switch (dense vs scalar
-CSR, the table above) or an explicit :class:`repro.gpukpm.spmv.SpmvModel`
-via ``spmv=`` — the format-aware accounting the autotuner scores.  For a
-uniform-row, narrow-band matrix the ``csr`` model reproduces the legacy
-CSR numbers exactly, so the two paths agree where they overlap.
+* a cold run has ``(load, steps, dots) = (0, N - 1, N)``;
+* a resume from order ``s`` regenerates ``|r>`` from its Philox stream
+  (cheaper than round-tripping it through PCIe), loads the two
+  checkpointed vectors ``r_{s-2}, r_{s-1}`` and has
+  ``(load, steps, dots) = (2 item D, N - s, N - s)``.
 """
 
 from __future__ import annotations
@@ -38,28 +40,19 @@ from dataclasses import dataclass
 from repro.errors import LaunchError, ValidationError
 from repro.gpu.kernel import KernelStats
 from repro.gpu.spec import GpuSpec
+from repro.gpukpm.spmv import _itemsize, _matvec_model
 from repro.util.validation import check_positive_int
 
 __all__ = [
     "GridPlan",
     "plan_grid",
     "per_vector_recursion_stats",
-    "per_vector_resume_stats",
     "recursion_footprint_bytes",
     "recursion_launch_stats",
     "reduce_launch_stats",
-    "DENSE_MATVEC_COALESCING",
-    "CSR_MATVEC_COALESCING",
 ]
 
-_FLOAT = 8
-_INDEX = 8
 _RNG_FLOPS_PER_ELEMENT = 4.0
-
-#: Achievable bandwidth fraction of the row-per-thread dense sweep.
-DENSE_MATVEC_COALESCING = 0.5
-#: Achievable bandwidth fraction of the CSR gather.
-CSR_MATVEC_COALESCING = 0.7
 
 
 @dataclass(frozen=True)
@@ -101,58 +94,26 @@ def plan_grid(total_vectors: int, block_size: int, spec: GpuSpec) -> GridPlan:
     )
 
 
-def _itemsize(precision: str) -> int:
-    if precision == "double":
-        return 8
-    if precision == "single":
-        return 4
-    raise ValidationError(f"precision must be 'double' or 'single', got {precision!r}")
-
-
-def _matvec_terms(dim: int, item: int, nnz, spmv):
-    """Per-matvec (flops, read_bytes, coalescing, format_efficiency).
-
-    ``spmv`` (an :class:`repro.gpukpm.spmv.SpmvModel`) takes precedence
-    over the legacy ``nnz`` switch; passing both is an error.
-    """
-    if spmv is not None:
-        if nnz is not None:
-            raise ValidationError("pass either nnz or spmv, not both")
-        return (
-            spmv.flops_per_matvec,
-            spmv.read_bytes_per_matvec,
-            spmv.coalescing,
-            spmv.thread_efficiency,
-        )
-    vec_bytes = dim * item
-    if nnz is None:
-        return 2.0 * dim * dim, dim * dim * item + vec_bytes, DENSE_MATVEC_COALESCING, 1.0
-    nnz = check_positive_int(nnz, "nnz")
-    return (
-        2.0 * nnz,
-        nnz * (item + _INDEX) + (dim + 1) * _INDEX + vec_bytes,
-        CSR_MATVEC_COALESCING,
-        1.0,
-    )
-
-
 def per_vector_recursion_stats(
     dimension: int,
     num_moments: int,
     *,
-    nnz: int | None = None,
     spmv=None,
     block_size: int | None = None,
     precision: str = "double",
+    start_moment: int = 0,
 ) -> KernelStats:
-    """Work of the full N-order recursion for ONE random vector.
+    """Work of the recursion for ONE random vector, cold or resumed.
 
-    ``nnz=None`` selects the dense path (the paper's measured runs);
-    ``spmv`` selects an explicit per-format model instead.
+    ``spmv`` (a :class:`~repro.gpukpm.spmv.SpmvModel`) prices each
+    matvec; ``None`` is the dense sweep of the paper's measured runs.
     ``block_size`` sets the thread efficiency: in the paper's design the
     block's threads tile the ``H_SIZE`` vector elements, so a block wider
-    than the vector idles its excess lanes.  ``precision`` scales every
-    floating-point byte count (index arrays stay 8-byte).  Returned
+    than the vector idles its excess lanes.  ``precision`` sizes the
+    vector traffic (the model already carries the matrix's).
+    ``start_moment=0`` is a cold run; ``2 <= start_moment <
+    num_moments`` resumes from two checkpointed recursion vectors and
+    counts only the new orders (the module's prologues).  Returned
     stats carry no footprint (set at launch level).
     """
     dim = check_positive_int(dimension, "dimension")
@@ -163,90 +124,28 @@ def per_vector_recursion_stats(
     else:
         block_size = check_positive_int(block_size, "block_size")
         thread_efficiency = min(1.0, dim / block_size)
-    steps = n - 1
     vec_bytes = dim * item
-
-    flops = _RNG_FLOPS_PER_ELEMENT * dim  # RNG
-    read = 0.0
-    write = float(vec_bytes)  # RNG output
-    matvec_flops, matvec_read, coalescing, fmt_efficiency = _matvec_terms(
-        dim, item, nnz, spmv
-    )
-    flops += steps * (matvec_flops + 2.0 * dim)          # matvec + axpy
-    read += steps * (matvec_read + 2.0 * vec_bytes)      # matvec + axpy reads
-    write += steps * 2.0 * vec_bytes                     # matvec out + axpy out
-    flops += n * 2.0 * dim                               # dots
-    read += n * 2.0 * vec_bytes
-    write += n * item
-    return KernelStats(
-        flops=flops,
-        gmem_read_bytes=read,
-        gmem_write_bytes=write,
-        coalescing=coalescing,
-        thread_efficiency=thread_efficiency * fmt_efficiency,
-        precision=precision,
-    )
-
-
-def per_vector_resume_stats(
-    dimension: int,
-    start_moment: int,
-    num_moments: int,
-    *,
-    nnz: int | None = None,
-    spmv=None,
-    block_size: int | None = None,
-    precision: str = "double",
-) -> KernelStats:
-    """Work of resuming the recursion from order ``start_moment`` for ONE vector.
-
-    The resume launch regenerates ``|r>`` from its Philox stream (the
-    random vector is a pure function of its index — cheaper than
-    round-tripping it through PCIe), loads the two checkpointed
-    recursion vectors ``r_{start-2}, r_{start-1}`` from the uploaded
-    state buffer, then runs ``num_moments - start_moment`` recursion
-    steps (matvec + axpy + dot each).  ``start_moment >= 2`` because the
-    three-term recursion needs two prior vectors.
-    """
-    dim = check_positive_int(dimension, "dimension")
-    n = check_positive_int(num_moments, "num_moments")
-    start = check_positive_int(start_moment, "start_moment")
-    if start < 2:
-        raise ValidationError(
-            f"start_moment must be >= 2 (two recursion vectors are "
-            f"checkpointed), got {start}"
-        )
-    if start >= n:
-        raise ValidationError(
-            f"resume needs num_moments > start_moment, got {n} <= {start}"
-        )
-    item = _itemsize(precision)
-    if block_size is None:
-        thread_efficiency = 1.0
+    if start_moment == 0:
+        load, steps, dots = 0, n - 1, n
     else:
-        block_size = check_positive_int(block_size, "block_size")
-        thread_efficiency = min(1.0, dim / block_size)
-    steps = n - start
-    vec_bytes = dim * item
-
-    flops = _RNG_FLOPS_PER_ELEMENT * dim  # RNG (regenerate |r>)
-    read = 2.0 * vec_bytes  # checkpointed r_{start-2}, r_{start-1}
-    write = float(vec_bytes)  # RNG output
-    matvec_flops, matvec_read, coalescing, fmt_efficiency = _matvec_terms(
-        dim, item, nnz, spmv
-    )
-    flops += steps * (matvec_flops + 2.0 * dim)          # matvec + axpy
-    read += steps * (matvec_read + 2.0 * vec_bytes)      # matvec + axpy reads
-    write += steps * 2.0 * vec_bytes                     # matvec out + axpy out
-    flops += steps * 2.0 * dim                           # dots (new orders only)
-    read += steps * 2.0 * vec_bytes
-    write += steps * item
+        start = check_positive_int(start_moment, "start_moment")
+        if not 2 <= start < n:
+            raise ValidationError(
+                "resume needs 2 <= start_moment < num_moments (two recursion "
+                f"vectors are checkpointed), got {start} and {n}"
+            )
+        load, steps, dots = 2.0 * vec_bytes, n - start, n - start
+    matvec = _matvec_model(spmv, dim, item)
     return KernelStats(
-        flops=flops,
-        gmem_read_bytes=read,
-        gmem_write_bytes=write,
-        coalescing=coalescing,
-        thread_efficiency=thread_efficiency * fmt_efficiency,
+        flops=_RNG_FLOPS_PER_ELEMENT * dim
+        + steps * (matvec.flops_per_matvec + 2.0 * dim)
+        + dots * 2.0 * dim,
+        gmem_read_bytes=load
+        + steps * (matvec.read_bytes_per_matvec + 2.0 * vec_bytes)
+        + dots * 2.0 * vec_bytes,
+        gmem_write_bytes=float(vec_bytes) + steps * 2.0 * vec_bytes + dots * item,
+        coalescing=matvec.coalescing,
+        thread_efficiency=thread_efficiency * matvec.thread_efficiency,
         precision=precision,
     )
 
@@ -256,7 +155,6 @@ def recursion_footprint_bytes(
     plan: GridPlan,
     spec: GpuSpec,
     *,
-    nnz: int | None = None,
     spmv=None,
     precision: str = "double",
 ) -> float:
@@ -267,16 +165,11 @@ def recursion_footprint_bytes(
     """
     dim = check_positive_int(dimension, "dimension")
     item = _itemsize(precision)
-    if spmv is not None:
-        if nnz is not None:
-            raise ValidationError("pass either nnz or spmv, not both")
-        matrix_bytes = spmv.matrix_bytes
-    elif nnz is None:
-        matrix_bytes = dim * dim * item
-    else:
-        matrix_bytes = nnz * (item + _INDEX) + (dim + 1) * _INDEX
     active_blocks = min(plan.num_blocks, spec.sm_count)
-    return matrix_bytes + active_blocks * 4.0 * dim * item
+    return (
+        _matvec_model(spmv, dim, item).matrix_bytes
+        + active_blocks * 4.0 * dim * item
+    )
 
 
 def recursion_launch_stats(
@@ -285,7 +178,6 @@ def recursion_launch_stats(
     plan: GridPlan,
     spec: GpuSpec,
     *,
-    nnz: int | None = None,
     spmv=None,
     precision: str = "double",
 ) -> KernelStats:
@@ -295,7 +187,6 @@ def recursion_launch_stats(
     per_vector = per_vector_recursion_stats(
         dimension,
         num_moments,
-        nnz=nnz,
         spmv=spmv,
         block_size=plan.block_size,
         precision=precision,
@@ -305,7 +196,7 @@ def recursion_launch_stats(
         gmem_read_bytes=per_vector.gmem_read_bytes * plan.total_vectors,
         gmem_write_bytes=per_vector.gmem_write_bytes * plan.total_vectors,
         footprint_bytes=recursion_footprint_bytes(
-            dimension, plan, spec, nnz=nnz, spmv=spmv, precision=precision
+            dimension, plan, spec, spmv=spmv, precision=precision
         ),
         coalescing=per_vector.coalescing,
         thread_efficiency=per_vector.thread_efficiency,

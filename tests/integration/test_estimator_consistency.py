@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import MultiGpuKPM, estimate_multigpu_seconds
 from repro.cpu import CORE_I7_930, CpuModelEngine, estimate_cpu_kpm_seconds
 from repro.gpu import TESLA_C2050, GTX_580
-from repro.gpukpm import GpuKPM, estimate_gpu_kpm_seconds
+from repro.gpukpm import GpuKPM, estimate_gpu_kpm_seconds, spmv_model_for
 from repro.kpm import KPMConfig, rescale_operator
 from repro.lattice import cubic, tight_binding_hamiltonian
 
@@ -39,7 +39,7 @@ class TestGpuEstimatorExactness:
         config = KPMConfig(seed=1, **params)
         _, report = GpuKPM().compute_moments(op, config)
         estimate = estimate_gpu_kpm_seconds(
-            TESLA_C2050, h.shape[0], config, nnz=h.nnz_stored
+            TESLA_C2050, h.shape[0], config, spmv=spmv_model_for(op, "csr")
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
@@ -55,7 +55,9 @@ class TestGpuEstimatorExactness:
         h, op = scaled("csr")
         config = KPMConfig(num_moments=16, num_random_vectors=4, block_size=32)
         _, report = GpuKPM(GTX_580).compute_moments(op, config)
-        estimate = estimate_gpu_kpm_seconds(GTX_580, h.shape[0], config, nnz=h.nnz_stored)
+        estimate = estimate_gpu_kpm_seconds(
+            GTX_580, h.shape[0], config, spmv=spmv_model_for(op, "csr")
+        )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
 
@@ -80,6 +82,6 @@ class TestMultiGpuEstimatorExactness:
         )
         _, report = MultiGpuKPM(devices).compute_moments(op, config)
         estimate = estimate_multigpu_seconds(
-            TESLA_C2050, h.shape[0], config, devices, nnz=h.nnz_stored
+            TESLA_C2050, h.shape[0], config, devices, spmv=spmv_model_for(op, "csr")
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)

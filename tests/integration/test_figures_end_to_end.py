@@ -16,6 +16,9 @@ class TestFig5Band:
     def result(self):
         return fig5()
 
+    def test_sweeps_the_paper_orders(self, result):
+        assert result.column("N") == [128, 256, 512, 1024]
+
     def test_speedup_in_paper_band(self, result):
         # Paper: "The speedup keeps 3.5 times for all the cases."
         for speedup in result.column("speedup"):
@@ -42,6 +45,12 @@ class TestFig6Shape:
         energies = np.array(result.column("energy"))
         assert energies[0] > -6.3
         assert energies[-1] < 6.3
+
+    def test_both_curves_normalized(self, result):
+        energies = np.array(result.column("energy"))
+        for column in ("dos_N256", "dos_N512"):
+            curve = np.array(result.column(column))
+            assert abs(np.trapezoid(curve, energies) - 1.0) < 0.02
 
     def test_higher_n_resolves_band_edge_more_sharply(self, result):
         # Resolution metric: the sharper truncation tracks the DoS fall-off
@@ -78,6 +87,9 @@ class TestFig7Band:
     def result(self):
         return fig7()
 
+    def test_sweeps_the_paper_orders(self, result):
+        assert result.column("N") == [128, 256, 512, 1024, 2048]
+
     def test_speedup_rises_with_n(self, result):
         speedups = result.column("speedup")
         assert all(b >= a for a, b in zip(speedups, speedups[1:]))
@@ -95,6 +107,12 @@ class TestFig8Band:
     @pytest.fixture(scope="class")
     def result(self):
         return fig8()
+
+    def test_sweeps_the_paper_sizes(self, result):
+        assert result.column("H_SIZE") == [512, 1024, 2048, 4096]
+
+    def test_first_speedup_below_band_ceiling(self, result):
+        assert result.column("speedup")[0] <= 4.7
 
     def test_gpu_always_wins_by_3x_plus(self, result):
         for speedup in result.column("speedup"):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import MultiGpuKPM, estimate_multigpu_seconds
 from repro.gpu import TESLA_C2050
-from repro.gpukpm import GpuKPM, estimate_gpu_kpm_seconds
+from repro.gpukpm import GpuKPM, estimate_gpu_kpm_seconds, spmv_model_for
 from repro.kpm import KPMConfig, SpectralDensity, rescale_operator, stochastic_moments
 from repro.lattice import cubic, tight_binding_hamiltonian
 
@@ -47,8 +47,9 @@ class TestEstimatorContract:
         csr, scaled = system
         runner = GpuKPM()
         _, report = runner.compute_moments(scaled, config)
+        spmv = spmv_model_for(scaled, "csr", precision=config.precision)
         estimate = estimate_gpu_kpm_seconds(
-            TESLA_C2050, csr.shape[0], config, nnz=scaled.nnz_stored
+            TESLA_C2050, csr.shape[0], config, spmv=spmv
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
@@ -59,8 +60,9 @@ class TestEstimatorContract:
         if devices > config.total_vectors:
             return
         _, report = MultiGpuKPM(devices).compute_moments(scaled, config)
+        spmv = spmv_model_for(scaled, "csr", precision=config.precision)
         estimate = estimate_multigpu_seconds(
-            TESLA_C2050, csr.shape[0], config, devices, nnz=scaled.nnz_stored
+            TESLA_C2050, csr.shape[0], config, devices, spmv=spmv
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 

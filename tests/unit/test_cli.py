@@ -70,6 +70,33 @@ class TestTimeCommand:
         assert code == 0
         assert "precision=single" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_gpu_row_prices_the_gpu_sim_run(self, storage, monkeypatch, capsys):
+        import repro.cli as cli
+        from repro import KPMConfig, compute_dos
+        from repro.lattice import cubic, tight_binding_hamiltonian
+
+        tables = []
+        monkeypatch.setattr(
+            cli, "ascii_table", lambda columns, rows: tables.append(dict(rows)) or ""
+        )
+        code = main([
+            "time", "--lattice", "cubic:6", "--storage", storage,
+            "-N", "64", "-R", "4", "-S", "1", "--block-size", "64",
+        ])
+        assert code == 0
+        config = KPMConfig(
+            num_moments=64, num_random_vectors=4, num_realizations=1, block_size=64
+        )
+        run = compute_dos(
+            tight_binding_hamiltonian(cubic(6), format=storage),
+            config,
+            backend="gpu-sim",
+        )
+        assert tables[0]["gpu (Tesla C2050)"] == pytest.approx(
+            run.timing.modeled_seconds, rel=1e-12
+        )
+
 
 class TestBenchCommand:
     def test_single_figure(self, capsys):

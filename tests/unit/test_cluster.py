@@ -14,7 +14,7 @@ from repro.cluster import (
 from repro.cluster.multigpu import _partition
 from repro.errors import ValidationError
 from repro.gpu import TESLA_C2050
-from repro.gpukpm import GpuKPM
+from repro.gpukpm import GpuKPM, spmv_model_for
 from repro.kpm import KPMConfig, rescale_operator
 from repro.lattice import cubic, tight_binding_hamiltonian
 
@@ -85,7 +85,7 @@ class TestFunctional:
             scaled_cube.shape[0],
             small_config,
             3,
-            nnz=scaled_cube.nnz_stored,
+            spmv=spmv_model_for(scaled_cube, "csr"),
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 

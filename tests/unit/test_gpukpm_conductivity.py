@@ -10,6 +10,7 @@ from repro.gpukpm import (
     estimate_gpu_conductivity_seconds,
     per_vector_conductivity_stats,
     plan_conductivity_memory,
+    uniform_csr_model,
 )
 from repro.kpm import (
     KPMConfig,
@@ -73,8 +74,8 @@ class TestTiming:
             TESLA_C2050,
             hamiltonian.shape[0],
             config,
-            nnz=scaled.nnz_stored,
-            current_nnz=current.nnz_stored,
+            spmv=uniform_csr_model(scaled.shape[0], scaled.nnz_stored),
+            current_spmv=uniform_csr_model(current.shape[0], current.nnz_stored),
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
@@ -86,8 +87,8 @@ class TestTiming:
             TESLA_C2050,
             scaled.shape[0],
             config,
-            nnz=scaled.nnz_stored,
-            current_nnz=current.nnz_stored,
+            spmv=uniform_csr_model(scaled.shape[0], scaled.nnz_stored),
+            current_spmv=uniform_csr_model(current.shape[0], current.nnz_stored),
         )
         assert runner.last_device.memory.peak_bytes == sum(plan.values())
 
@@ -127,8 +128,12 @@ class TestTiming:
 
 class TestStats:
     def test_gram_term_scales_quadratically(self):
-        small = per_vector_conductivity_stats(100, 16, nnz=700, current_nnz=200)
-        large = per_vector_conductivity_stats(100, 32, nnz=700, current_nnz=200)
+        matrices = dict(
+            spmv=uniform_csr_model(100, 700),
+            current_spmv=uniform_csr_model(100, 200),
+        )
+        small = per_vector_conductivity_stats(100, 16, **matrices)
+        large = per_vector_conductivity_stats(100, 32, **matrices)
         gram_small = 2 * 16**2 * 100
         gram_large = 2 * 32**2 * 100
         # The quadratic term must account for the difference growth.
@@ -139,7 +144,11 @@ class TestStats:
             num_moments=256, num_random_vectors=128, num_realizations=14
         )
         plan = plan_conductivity_memory(
-            TESLA_C2050, 1000, config, nnz=7000, current_nnz=2000
+            TESLA_C2050,
+            1000,
+            config,
+            spmv=uniform_csr_model(1000, 7000),
+            current_spmv=uniform_csr_model(1000, 2000),
         )
         assert plan["stacks"] > plan["hamiltonian"]
         assert plan["stacks"] == 7 * 2 * 256 * 1000 * 8

@@ -10,6 +10,7 @@ from repro.gpukpm import (
     estimate_gpu_kpm_seconds,
     gpu_kpm_breakdown,
     plan_memory,
+    spmv_model_for,
     tune_block_size,
 )
 from repro.kpm import KPMConfig, get_engine, rescale_operator, stochastic_moments
@@ -68,7 +69,7 @@ class TestTimingAndResources:
             TESLA_C2050,
             scaled_cube.shape[0],
             small_config,
-            nnz=scaled_cube.nnz_stored,
+            spmv=spmv_model_for(scaled_cube, "csr"),
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
@@ -84,16 +85,26 @@ class TestTimingAndResources:
         runner = GpuKPM()
         _, report = runner.compute_moments(scaled_cube, small_config)
         analytic = gpu_kpm_breakdown(
-            TESLA_C2050, scaled_cube.shape[0], small_config, nnz=scaled_cube.nnz_stored
+            TESLA_C2050,
+            scaled_cube.shape[0],
+            small_config,
+            spmv=spmv_model_for(scaled_cube, "csr"),
         )
         assert set(report.breakdown) == set(analytic)
         for key, value in analytic.items():
             assert report.breakdown[key] == pytest.approx(value, rel=1e-12)
 
-    def test_memory_plan_matches_pool_peak(self, scaled_cube_dense, small_config):
-        runner = GpuKPM()
-        runner.compute_moments(scaled_cube_dense, small_config)
-        plan = plan_memory(TESLA_C2050, scaled_cube_dense.shape[0], small_config)
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("spmv_format", ["dense", "csr", "csr-vector", "ell"])
+    def test_memory_plan_matches_pool_peak(
+        self, scaled_cube, small_config, spmv_format, precision
+    ):
+        config = small_config.with_updates(precision=precision)
+        runner = GpuKPM(spmv_format=spmv_format)
+        runner.compute_moments(scaled_cube, config)
+        plan = plan_memory(
+            TESLA_C2050, scaled_cube.shape[0], config, spmv=runner.last_spmv
+        )
         assert runner.last_device.memory.peak_bytes == plan.total_bytes
 
     def test_two_kernel_launches(self, scaled_cube, small_config):

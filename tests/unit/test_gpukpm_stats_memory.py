@@ -12,6 +12,7 @@ from repro.gpukpm import (
     per_vector_recursion_stats,
     recursion_launch_stats,
     reduce_launch_stats,
+    uniform_csr_model,
 )
 from repro.kpm import KPMConfig
 
@@ -52,7 +53,7 @@ class TestPerVectorStats:
 
     def test_csr_flop_count(self):
         d, n, nnz = 100, 8, 700
-        stats = per_vector_recursion_stats(d, n, nnz=nnz)
+        stats = per_vector_recursion_stats(d, n, spmv=uniform_csr_model(d, nnz))
         expected = 4 * d + (n - 1) * (2 * nnz + 2 * d) + n * 2 * d
         assert stats.flops == expected
 
@@ -78,7 +79,7 @@ class TestPerVectorStats:
 
     def test_coalescing_dense_vs_csr(self):
         dense = per_vector_recursion_stats(64, 4)
-        sparse = per_vector_recursion_stats(64, 4, nnz=400)
+        sparse = per_vector_recursion_stats(64, 4, spmv=uniform_csr_model(64, 400))
         assert dense.coalescing < sparse.coalescing
 
 
@@ -127,7 +128,7 @@ class TestMemoryPlan:
 
     def test_csr_matrix_bytes(self):
         config = KPMConfig(num_random_vectors=8, num_realizations=1, num_moments=16)
-        plan = plan_memory(TESLA_C2050, 100, config, nnz=700)
+        plan = plan_memory(TESLA_C2050, 100, config, spmv=uniform_csr_model(100, 700))
         assert plan.matrix_bytes == 700 * 16 + 101 * 8
 
     def test_summary_renders(self):

@@ -11,6 +11,8 @@ from repro.gpukpm import (
     estimate_gpu_kpm_seconds,
     per_vector_recursion_stats,
     plan_memory,
+    spmv_model_for,
+    uniform_csr_model,
 )
 from repro.kpm import KPMConfig, rescale_operator, stochastic_moments
 from repro.lattice import cubic, tight_binding_hamiltonian
@@ -66,8 +68,13 @@ class TestStatsPrecision:
         assert sp.flops == dp.flops
 
     def test_csr_indices_stay_wide(self):
-        dp = per_vector_recursion_stats(100, 16, nnz=700)
-        sp = per_vector_recursion_stats(100, 16, nnz=700, precision="single")
+        dp = per_vector_recursion_stats(100, 16, spmv=uniform_csr_model(100, 700))
+        sp = per_vector_recursion_stats(
+            100,
+            16,
+            spmv=uniform_csr_model(100, 700, precision="single"),
+            precision="single",
+        )
         # Index traffic is precision-independent, so the ratio is > 1/2.
         assert sp.gmem_read_bytes > dp.gmem_read_bytes / 2
 
@@ -114,7 +121,10 @@ class TestPipelinePrecision:
         )
         _, report = GpuKPM().compute_moments(scaled_cube, config)
         estimate = estimate_gpu_kpm_seconds(
-            TESLA_C2050, scaled_cube.shape[0], config, nnz=scaled_cube.nnz_stored
+            TESLA_C2050,
+            scaled_cube.shape[0],
+            config,
+            spmv=spmv_model_for(scaled_cube, "csr", precision="single"),
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
@@ -127,7 +137,7 @@ class TestPipelinePrecision:
         runner.compute_moments(scaled_cube, config)
         # Peak memory halves relative to the plan of the double config.
         sp_plan = plan_memory(
-            TESLA_C2050, scaled_cube.shape[0], config, nnz=scaled_cube.nnz_stored
+            TESLA_C2050, scaled_cube.shape[0], config, spmv=runner.last_spmv
         )
         assert runner.last_device.memory.peak_bytes == sp_plan.total_bytes
 
