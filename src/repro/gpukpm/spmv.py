@@ -253,9 +253,10 @@ def uniform_csr_model(
 ) -> SpmvModel:
     """Scalar-CSR model of a matrix known only by its counts.
 
-    For sweeps priced from ``(D, nnz)`` alone — the CRS and transport
-    ablations, the conductivity runner — where no operator exists to
-    profile.  The matrix is taken as ``nnz / D`` entries per row whose
+    For callers that price a CSR matrix from ``(D, nnz)`` alone: the CRS
+    and transport ablations, which have no operator to profile, and
+    :class:`~repro.gpukpm.GpuConductivity`, whose charges are defined by
+    the counts.  The matrix is taken as ``nnz / D`` entries per row whose
     columns stay within the gather's near window, so the ``csr`` model
     pays no gather miss and no row imbalance: this equals
     ``spmv_model_for(op, "csr")`` of any uniform-row operator with that

@@ -71,7 +71,7 @@ class TestTimeCommand:
         assert "precision=single" in capsys.readouterr().out
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
-    def test_gpu_row_prices_the_gpu_sim_run(self, storage, monkeypatch, capsys):
+    def test_gpu_row_prices_the_gpu_sim_run(self, storage, monkeypatch):
         import repro.cli as cli
         from repro import KPMConfig, compute_dos
         from repro.lattice import cubic, tight_binding_hamiltonian
