@@ -15,7 +15,8 @@ because the compute term shrinks like ``1/G`` while the communication
 terms do not, the model exhibits the expected strong-scaling knee — the
 ablation benchmark locates it.
 
-**Fault tolerance** (docs/RESILIENCE.md): when a
+**Fault tolerance** (docs/RESILIENCE.md): one driver loop runs every
+cluster job in rounds; a fault-free job is its round 0.  When a
 :class:`~repro.cluster.FaultSchedule` and/or ``checkpoint_every`` is
 given, :class:`MultiGpuKPM` runs in *resilient* mode — per-partition
 moment tables are checkpointed in chunks, crashed nodes' unfinished
@@ -265,11 +266,16 @@ class MultiGpuKPM:
         vector_width: int | None = None,
     ):
         self.num_devices = check_positive_int(num_devices, "num_devices")
+        # One per-node pipeline carrying the cluster's tuning policy; it
+        # validates the device settings here.  Every node runs the same
+        # (format, block, width) choice — the broadcast ships one storage
+        # layout, and bit-identity across partitionings requires
+        # identical per-node numerics anyway.
+        self._runner = GpuKPM(
+            spec, tuner=tuner, spmv_format=spmv_format, vector_width=vector_width
+        )
         self.spec = spec
         self.interconnect = interconnect
-        self.tuner = tuner
-        self.spmv_format = spmv_format
-        self.vector_width = vector_width
         if fault_schedule is not None and not isinstance(fault_schedule, FaultSchedule):
             raise ValidationError(
                 "fault_schedule must be a FaultSchedule, got "
@@ -290,20 +296,6 @@ class MultiGpuKPM:
     def resilient(self) -> bool:
         """True when the driver runs with checkpoint/recovery machinery."""
         return self.fault_schedule is not None or self.checkpoint_every is not None
-
-    def _make_runner(self) -> GpuKPM:
-        """One per-node pipeline carrying the cluster's tuning policy.
-
-        Every node runs the same (format, block, width) choice — the
-        broadcast ships one storage layout, and bit-identity across
-        partitionings requires identical per-node numerics anyway.
-        """
-        return GpuKPM(
-            self.spec,
-            tuner=self.tuner,
-            spmv_format=self.spmv_format,
-            vector_width=self.vector_width,
-        )
 
     def run(self, scaled_operator, config: KPMConfig) -> tuple[MomentData, TimingReport]:
         """Deprecated alias of :meth:`compute_moments`."""
@@ -342,62 +334,18 @@ class MultiGpuKPM:
             interconnect=self.interconnect.name,
             resilient=self.resilient,
         ):
-            if self.resilient:
-                return self._run_resilient(op, config)
-            return self._run_fault_free(op, config)
+            return self._run(op, config)
 
     # ------------------------------------------------------------------
-    def _run_fault_free(self, op, config: KPMConfig) -> tuple[MomentData, TimingReport]:
-        dim = op.shape[0]
-        total = config.total_vectors
-        runner = self._make_runner()
-        spmv, config = runner.resolve_spmv(op, config)
-        tracer = current_tracer()
-        broadcast = broadcast_seconds(
-            self.interconnect, dim, self.num_devices, spmv=spmv
-        )
-        allreduce = allreduce_seconds(
-            self.interconnect, config.num_moments, self.num_devices
-        )
+    def _run(self, op, config: KPMConfig) -> tuple[MomentData, TimingReport]:
+        """The one cluster driver: rounds of node runs until the table is full.
 
-        with WallTimer() as timer:
-            with tracer.span("cluster.broadcast", category="cluster"):
-                tracer.advance(broadcast)
-            tables = []
-            node_seconds = []
-            for node, (start, count) in enumerate(
-                _partition(total, self.num_devices)
-            ):
-                # The trace clock lays parallel node work end-to-end for
-                # attribution; the TimingReport keeps the parallel max.
-                with tracer.span(
-                    "cluster.node",
-                    category="cluster",
-                    node=node,
-                    first_vector=start,
-                    num_vectors=count,
-                ):
-                    mu_tilde, _, device = runner.run_partition(
-                        op, config, first_vector=start, num_vectors=count
-                    )
-                tables.append(mu_tilde)
-                node_seconds.append(device.modeled_seconds)
-            full_table = np.concatenate(tables, axis=0)
-            with tracer.span("cluster.allreduce", category="cluster"):
-                tracer.advance(allreduce)
-
-        breakdown = {
-            "broadcast": broadcast,
-            "compute": max(node_seconds),
-            "allreduce": allreduce,
-        }
-        return self._assemble(
-            full_table, config, dim, breakdown, timer.seconds, resilient=False
-        )
-
-    # ------------------------------------------------------------------
-    def _run_resilient(self, op, config: KPMConfig) -> tuple[MomentData, TimingReport]:
-        """Checkpointed execution with fault injection and recovery.
+        Round 0 runs the initial partition.  Without a fault schedule or
+        ``checkpoint_every`` each node launches its partition once, no
+        node can crash, and the run ends after round 0 with the
+        three-phase breakdown.  In resilient mode the nodes checkpoint in
+        chunks and crashed nodes' unfinished ranges are rebalanced over
+        the survivors in later rounds.
 
         Accounting convention (docs/RESILIENCE.md): ``"compute"`` is the
         slowest node's *useful* (checkpointed) work in the initial round;
@@ -409,8 +357,7 @@ class MultiGpuKPM:
         dim = op.shape[0]
         total = config.total_vectors
         num_moments = config.num_moments
-        runner = self._make_runner()
-        spmv, config = runner.resolve_spmv(op, config)
+        spmv, config = self._runner.resolve_spmv(op, config)
         schedule = self.fault_schedule if self.fault_schedule is not None else FaultSchedule()
         policy = self.policy if self.policy is not None else RetryPolicy()
         if schedule.max_node() >= self.num_devices:
@@ -464,21 +411,26 @@ class MultiGpuKPM:
                         tracer.advance(coordination)
                 node_useful: dict[int, float] = {}
                 lost: list[tuple[int, int]] = []
+                # The trace clock lays parallel node work end to end for
+                # attribution; the report keeps the slowest node.  Only
+                # resilient node spans carry the round and the outcome.
+                in_round = {"round": round_idx} if self.resilient else {}
                 for node, span in assignments:
                     with tracer.span(
                         "cluster.node",
                         category="cluster",
                         node=node,
-                        round=round_idx,
+                        **in_round,
                         first_vector=span[0],
                         num_vectors=span[1],
                     ) as node_span:
                         outcome = self._run_node(
-                            runner, op, config, schedule,
+                            op, config, schedule,
                             node=node, span=span, round_idx=round_idx,
                             table=table, filled=filled,
                         )
-                        node_span.set(survived=outcome.survived)
+                        if self.resilient:
+                            node_span.set(survived=outcome.survived)
                     node_useful[node] = (
                         node_useful.get(node, 0.0) + outcome.useful_seconds
                     )
@@ -543,34 +495,43 @@ class MultiGpuKPM:
                     attempts=event.count,
                 ):
                     tracer.advance(retransmit)
+            allreduce = allreduce_seconds(self.interconnect, num_moments, len(alive))
             with tracer.span("cluster.allreduce", category="cluster"):
-                tracer.advance(
-                    allreduce_seconds(self.interconnect, num_moments, len(alive))
-                )
+                tracer.advance(allreduce)
 
         if not bool(filled.all()):  # pragma: no cover - driver invariant
             raise DeviceError(
-                "resilient driver finished with unfilled moment rows; this is "
+                "cluster driver finished with unfilled moment rows; this is "
                 "a bug in the rebalancing bookkeeping"
             )
-        breakdown = {
-            "broadcast": broadcast_seconds(
-                self.interconnect, dim, self.num_devices, spmv=spmv
-            ),
-            "compute": compute,
-            "rebalance": rebalance,
-            "recovery": recovery,
-            "allreduce": allreduce_seconds(
-                self.interconnect, num_moments, len(alive)
-            ),
-        }
-        return self._assemble(
-            table, config, dim, breakdown, timer.seconds, resilient=True
+        breakdown = {"broadcast": broadcast, "compute": compute}
+        if self.resilient:
+            breakdown.update(rebalance=rebalance, recovery=recovery)
+        breakdown["allreduce"] = allreduce
+        per_realization = (
+            table.reshape(
+                config.num_realizations, config.num_random_vectors, num_moments
+            ).mean(axis=1)
+            / dim
         )
+        data = MomentData(
+            mu=table.mean(axis=0) / dim,
+            per_realization=per_realization,
+            dimension=dim,
+            num_vectors=config.num_random_vectors,
+        )
+        suffix = ",resilient" if self.resilient else ""
+        report = TimingReport(
+            backend=f"multi-gpu-sim(x{self.num_devices}{suffix})",
+            device=f"{self.num_devices} x {self.spec.name} over {self.interconnect.name}",
+            modeled_seconds=sum(breakdown.values()),
+            wall_seconds=timer.seconds,
+            breakdown=dict(breakdown),
+        )
+        return data, report
 
     def _run_node(
         self,
-        runner: GpuKPM,
         op,
         config: KPMConfig,
         schedule: FaultSchedule,
@@ -581,11 +542,14 @@ class MultiGpuKPM:
         table: np.ndarray,
         filled: np.ndarray,
     ) -> _NodeRun:
-        """Execute one assigned range on ``node``, injecting its faults."""
+        """Execute one assigned range on ``node``, injecting its faults.
+
+        A fault-free node launches its range once; a resilient one hands
+        each finished chunk to ``on_chunk``, which checkpoints its rows.
+        """
         start, count = span
         crash = schedule.crash_for(node, round_idx)
-        chunk_size = self.checkpoint_every or count
-        state = {"chunks": 0, "chunk_seconds": 0.0, "wasted": 0.0, "next": start}
+        state = {"chunks": 0, "wasted": 0.0, "next": start}
 
         def on_chunk(chunk: CheckpointChunk) -> None:
             if crash is not None and state["chunks"] >= crash.completed_chunks:
@@ -600,22 +564,26 @@ class MultiGpuKPM:
             table[chunk.first_vector : stop] = chunk.rows
             filled[chunk.first_vector : stop] = True
             state["chunks"] += 1
-            state["chunk_seconds"] += chunk.modeled_seconds
             state["next"] = stop
 
         try:
-            runner.run_partition(
+            rows, _, _ = self._runner.run_partition(
                 op,
                 config,
                 first_vector=start,
                 num_vectors=count,
-                checkpoint_every=chunk_size,
-                on_chunk=on_chunk,
+                checkpoint_every=self.checkpoint_every,
+                on_chunk=on_chunk if self.resilient else None,
             )
-            survived = True
         except DeviceLostError:
             survived = False
-        device_total = runner.last_device.modeled_seconds
+        else:
+            # A survivor's rows are final; a crashed node keeps only the
+            # rows its chunks checkpointed.
+            survived = True
+            table[start : start + count] = rows
+            filled[start : start + count] = True
+        device_total = self._runner.last_device.modeled_seconds
         # Fixed overhead (setup + H~ upload) is required work even
         # fault-free; only the un-checkpointed chunk counts as waste.
         useful = device_total - state["wasted"]
@@ -623,36 +591,3 @@ class MultiGpuKPM:
         if not survived and state["next"] < start + count:
             leftover = (state["next"], start + count - state["next"])
         return _NodeRun(useful, state["wasted"], survived, leftover)
-
-    # ------------------------------------------------------------------
-    def _assemble(
-        self,
-        full_table: np.ndarray,
-        config: KPMConfig,
-        dim: int,
-        breakdown: dict[str, float],
-        wall_seconds: float,
-        *,
-        resilient: bool,
-    ) -> tuple[MomentData, TimingReport]:
-        per_realization = (
-            full_table.reshape(
-                config.num_realizations, config.num_random_vectors, config.num_moments
-            ).mean(axis=1)
-            / dim
-        )
-        data = MomentData(
-            mu=full_table.mean(axis=0) / dim,
-            per_realization=per_realization,
-            dimension=dim,
-            num_vectors=config.num_random_vectors,
-        )
-        suffix = ",resilient" if resilient else ""
-        report = TimingReport(
-            backend=f"multi-gpu-sim(x{self.num_devices}{suffix})",
-            device=f"{self.num_devices} x {self.spec.name} over {self.interconnect.name}",
-            modeled_seconds=sum(breakdown.values()),
-            wall_seconds=wall_seconds,
-            breakdown=dict(breakdown),
-        )
-        return data, report

@@ -5,7 +5,9 @@ The recursion/reduction pair is exactly the paper's two parallel parts:
 * :func:`kpm_recursion_kernel` — part (a): each block generates its
   random vectors, runs the full N-order Chebyshev recursion in its
   4-vector global-memory workspace (pointer-swapped, paper Fig. 4a), and
-  writes the per-vector moments ``mu~_n`` to global memory.
+  writes the per-vector moments ``mu~_n`` to global memory.  A cold or
+  a resume prologue seeds the workspace; one step loop then serves
+  both modes.
 * :func:`reduce_moments_kernel` — part (b): parallel mean of the
   ``mu~`` table over the ``R*S`` vectors (paper Fig. 4b).
 
@@ -143,8 +145,9 @@ class DeviceMatrix:
 # Launch-domain contract of the recursion kernel (rules RA016–RA020).
 # The four modes close the `resume_state is None` / `state_out is None`
 # branches; cold modes pin start_moment = 0 because the host launches
-# them that way (mu~ column `order` only fits `num_moments -
-# start_moment` columns at start_moment 0).
+# them that way (the cold prologue writes mu~ columns 0 and 1 and its
+# loop starts at order 2, so column `order - start_moment` only lines
+# up at start_moment 0).
 _KPM_RECURSION_CONTRACT = KernelContract(
     symbols={
         "D": (1, None),
@@ -228,15 +231,16 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
     working on a partition (multi-GPU, :mod:`repro.cluster`) consumes
     exactly the same random streams as a single device would.
 
-    Resume mode (``start_moment >= 2`` with ``resume_state``): slots 1-2
-    are seeded from the uploaded per-vector state ``(r_{start-2},
-    r_{start-1})`` instead of ``(r_0, H r_0)``, ``|r>`` is regenerated
-    from its Philox stream, and only the new orders
-    ``start_moment..num_moments-1`` run — writing ``mu~`` at column
-    ``order - start_moment``.  The recursion steps are the same
-    expressions as the cold path, so the emitted moments are
-    bit-identical to a cold run at the higher order.  ``state_out``
-    (requires ``num_moments >= 2``) captures the final
+    A prologue seeds slots 1-2, then one step loop runs the orders
+    ``first..num_moments-1`` and writes ``mu~`` at column
+    ``order - start_moment``.  The cold prologue stores ``mu~_0`` and
+    ``mu~_1`` from ``(r_0, H r_0)`` and starts the loop at order 2.
+    Resume mode (``start_moment >= 2`` with ``resume_state``) loads the
+    uploaded per-vector state ``(r_{start-2}, r_{start-1})`` instead,
+    regenerates ``|r>`` from its Philox stream and starts the loop at
+    ``start_moment``; since both modes run the same step, the emitted
+    moments are bit-identical to a cold run at the higher order.
+    ``state_out`` (requires ``num_moments >= 2``) captures the final
     ``(r_{N-2}, r_{N-1})`` pair per vector for a later resume.
     """
     block_vectors = plan.vectors_of(ctx.linear_block_id)
@@ -264,19 +268,16 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
             ws[1] = r0               # r_0
             ws[2] = matrix.matvec(r0)  # r_1
             mu_tilde.data[v, 1] = r0 @ ws[2]
-            prev, cur, nxt = 1, 2, 3
-            for order in range(2, num_moments):
-                ws[nxt] = 2.0 * matrix.matvec(ws[cur]) - ws[prev]
-                mu_tilde.data[v, order] = r0 @ ws[nxt]
-                prev, cur, nxt = cur, nxt, prev
+            first = 2
         else:
             ws[1] = resume_state.data[v, 0]  # r_{start-2}
             ws[2] = resume_state.data[v, 1]  # r_{start-1}
-            prev, cur, nxt = 1, 2, 3
-            for order in range(start_moment, num_moments):
-                ws[nxt] = 2.0 * matrix.matvec(ws[cur]) - ws[prev]
-                mu_tilde.data[v, order - start_moment] = r0 @ ws[nxt]
-                prev, cur, nxt = cur, nxt, prev
+            first = start_moment
+        prev, cur, nxt = 1, 2, 3
+        for order in range(first, num_moments):
+            ws[nxt] = 2.0 * matrix.matvec(ws[cur]) - ws[prev]
+            mu_tilde.data[v, order - start_moment] = r0 @ ws[nxt]
+            prev, cur, nxt = cur, nxt, prev
         if state_out is not None:
             state_out.data[v, 0] = ws[prev]  # r_{N-2}
             state_out.data[v, 1] = ws[cur]   # r_{N-1}

@@ -8,6 +8,11 @@ Host-side sequence, mirroring the CUDA original:
 4. launch ``reduce_moments``;
 5. download the moment table and assemble :class:`~repro.kpm.MomentData`.
 
+:meth:`GpuKPM.run_partition` issues every recursion launch from one
+loop over chunks of vectors.  A plain, capturing or resuming run is one
+chunk followed by steps 4-5; checkpoint mode downloads each chunk as it
+finishes and reduces on the host instead.
+
 The modeled time comes from the device profiler; tests pin it against
 :func:`repro.gpukpm.estimate_gpu_kpm_seconds` (same launch schedule,
 no execution).
@@ -409,6 +414,10 @@ class GpuKPM:
         vector numbering keeps the random streams identical to a
         single-device run.
 
+        Every ``kpm_recursion`` launch comes from one loop over chunks of
+        vectors.  Without ``checkpoint_every`` and ``on_chunk`` there is
+        one chunk, and the device reduces and downloads the table.
+
         Parameters
         ----------
         checkpoint_every:
@@ -449,6 +458,8 @@ class GpuKPM:
             The raw per-vector moment table ``(num_vectors, N)``, the
             reduced mean over this partition ``(N,)`` (both
             *unnormalized* by ``D``), and the device with its profiler.
+            Every device buffer the run allocated is freed, also when it
+            raises.
         """
         if not isinstance(config, KPMConfig):
             raise ValidationError(
@@ -468,9 +479,8 @@ class GpuKPM:
         dtype = np.float64 if config.precision == "double" else np.float32
 
         resuming = resume_state is not None
-        if (resuming or start_moment or state_sink is not None) and (
-            checkpoint_every is not None or on_chunk is not None
-        ):
+        checkpointing = checkpoint_every is not None or on_chunk is not None
+        if (resuming or start_moment or state_sink is not None) and checkpointing:
             raise ValidationError(
                 "resume/state-capture mode is incompatible with checkpoint "
                 "mode (checkpoint_every/on_chunk)"
@@ -494,12 +504,17 @@ class GpuKPM:
                 "state capture needs num_moments >= 2 (two recursion "
                 "vectors to checkpoint)"
             )
+        chunk_size = num_vectors
+        if checkpoint_every is not None:
+            chunk_size = check_positive_int(checkpoint_every, "checkpoint_every")
         # Columns the launch produces: all orders cold, new orders on resume.
         width = num_moments - start_moment
 
         device = Device(self.spec)
         self.last_device = device
         tracer = current_tracer()
+        host_mu_tilde = np.empty((num_vectors, width), dtype=dtype)
+        host_state = None
 
         with tracer.span(
             "gpu.pipeline",
@@ -511,207 +526,138 @@ class GpuKPM:
             block_size=plan.block_size,
             spmv_format=spmv.format,
         ):
-            # --- upload the Hamiltonian ---------------------------------
-            with tracer.device_span("gpu.upload", device):
-                matrix = self._upload_matrix(device, op, spmv, dim, dtype)
+            try:
+                # --- upload the Hamiltonian ---------------------------------
+                with tracer.device_span("gpu.upload", device):
+                    matrix = self._upload_matrix(device, op, spmv, dim, dtype)
 
-                # --- workspace + moment buffers (paper Sec. III-B2) -----
-                workspace = device.alloc(
-                    (plan.num_blocks, 4, dim), dtype=dtype, name="workspace"
-                )
-                d_state_in = None
-                if resuming:
-                    d_state_in = device.alloc(
-                        (num_vectors, 2, dim), dtype=dtype, name="state.in"
+                    # --- workspace + state buffers (paper Sec. III-B2) ------
+                    workspace = device.alloc(
+                        (plan.num_blocks, 4, dim), dtype=dtype, name="workspace"
                     )
-                    device.memcpy_htod(
-                        d_state_in, np.asarray(resume_state, dtype=dtype)
-                    )
+                    d_state_in = d_state_out = None
+                    if resuming:
+                        d_state_in = device.alloc(
+                            (num_vectors, 2, dim), dtype=dtype, name="state.in"
+                        )
+                        device.memcpy_htod(
+                            d_state_in, np.asarray(resume_state, dtype=dtype)
+                        )
+                    if state_sink is not None:
+                        d_state_out = device.alloc(
+                            (num_vectors, 2, dim), dtype=dtype, name="state.out"
+                        )
 
-            if checkpoint_every is not None or on_chunk is not None:
-                try:
-                    return self._run_chunked(
-                        device,
-                        matrix,
-                        workspace,
-                        config,
-                        spmv=spmv,
-                        dim=dim,
-                        dtype=dtype,
-                        first_vector=first_vector,
-                        num_vectors=num_vectors,
-                        checkpoint_every=checkpoint_every,
-                        on_chunk=on_chunk,
-                    )
-                finally:
-                    # Free even when a fault schedule aborts mid-chunk: the
-                    # device object outlives the run (profiler is read by
-                    # the cluster driver) and must not leak VRAM.
-                    workspace.free()
-                    matrix.free()
-
-            mu_tilde = device.alloc(
-                (num_vectors, width), dtype=dtype, name="mu_tilde"
-            )
-            mu_out = device.alloc(width, dtype=dtype, name="mu")
-            d_state_out = None
-            if state_sink is not None:
-                d_state_out = device.alloc(
-                    (num_vectors, 2, dim), dtype=dtype, name="state.out"
-                )
-
-            # --- part (a): recursion ------------------------------------
-            pv_stats = per_vector_recursion_stats(
-                dim,
-                num_moments,
-                spmv=spmv,
-                block_size=plan.block_size,
-                precision=config.precision,
-                start_moment=start_moment,
-            )
-            footprint = recursion_footprint_bytes(
-                dim, plan, self.spec, spmv=spmv, precision=config.precision
-            )
-            with tracer.device_span("gpu.moments", device):
-                device.launch(
-                    kpm_recursion_kernel,
-                    grid=plan.num_blocks,
-                    block=plan.block_size,
-                    args=(
-                        matrix,
-                        workspace,
-                        mu_tilde,
-                        plan,
-                        pv_stats,
-                        footprint,
+                # --- part (a): one recursion launch per chunk ---------------
+                for start in range(0, num_vectors, chunk_size):
+                    count = min(chunk_size, num_vectors - start)
+                    chunk_plan = plan_grid(count, config.block_size, self.spec)
+                    pv_stats = per_vector_recursion_stats(
+                        dim,
                         num_moments,
-                        config.num_random_vectors,
-                        config.vector_kind,
-                        config.seed,
-                        first_vector,
-                        start_moment,
-                        d_state_in,
-                        d_state_out,
-                    ),
-                    shared_bytes_per_block=plan.block_size * 8,
-                )
+                        spmv=spmv,
+                        block_size=chunk_plan.block_size,
+                        precision=config.precision,
+                        start_moment=start_moment,
+                    )
+                    footprint = recursion_footprint_bytes(
+                        dim, chunk_plan, self.spec, spmv=spmv, precision=config.precision
+                    )
+                    mu_tilde = device.alloc(
+                        (count, width),
+                        dtype=dtype,
+                        name="mu_tilde.chunk" if checkpointing else "mu_tilde",
+                    )
+                    seconds_before = device.modeled_seconds
+                    attrs = {"chunk_start": first_vector + start} if checkpointing else {}
+                    with tracer.device_span("gpu.moments", device, **attrs):
+                        device.launch(
+                            kpm_recursion_kernel,
+                            grid=chunk_plan.num_blocks,
+                            block=chunk_plan.block_size,
+                            args=(
+                                matrix,
+                                workspace,
+                                mu_tilde,
+                                chunk_plan,
+                                pv_stats,
+                                footprint,
+                                num_moments,
+                                config.num_random_vectors,
+                                config.vector_kind,
+                                config.seed,
+                                first_vector + start,
+                                start_moment,
+                                d_state_in,
+                                d_state_out,
+                            ),
+                            shared_bytes_per_block=chunk_plan.block_size * 8,
+                        )
+                    if checkpointing:
+                        # Per-chunk download buffer (final chunk can be
+                        # narrower), overwritten by memcpy_dtoh — once per
+                        # chunk, not per moment.
+                        rows = np.empty((count, width), dtype=dtype)  # repro: noqa[RA009]
+                        with tracer.device_span("gpu.download", device):
+                            device.memcpy_dtoh(rows, mu_tilde)
+                        mu_tilde.free()
+                        host_mu_tilde[start : start + count] = rows
+                        if on_chunk is not None:
+                            on_chunk(
+                                CheckpointChunk(
+                                    first_vector=first_vector + start,
+                                    num_vectors=count,
+                                    rows=rows.astype(np.float64),
+                                    modeled_seconds=device.modeled_seconds
+                                    - seconds_before,
+                                )
+                            )
 
-            # --- part (b): reduction ------------------------------------
-            reduce_stats = reduce_launch_stats(
-                width, num_vectors, precision=config.precision
-            )
-            reduce_blocks = -(-width // plan.block_size)
-            with tracer.device_span("gpu.reduction", device):
-                device.launch(
-                    reduce_moments_kernel,
-                    grid=reduce_blocks,
-                    block=plan.block_size,
-                    args=(mu_tilde, mu_out, reduce_stats.footprint_bytes, config.precision),
-                )
+                if checkpointing:
+                    host_mu = host_mu_tilde.mean(axis=0)
+                else:
+                    # --- part (b): reduction --------------------------------
+                    mu_out = device.alloc(width, dtype=dtype, name="mu")
+                    reduce_stats = reduce_launch_stats(
+                        width, num_vectors, precision=config.precision
+                    )
+                    reduce_blocks = -(-width // plan.block_size)
+                    with tracer.device_span("gpu.reduction", device):
+                        device.launch(
+                            reduce_moments_kernel,
+                            grid=reduce_blocks,
+                            block=plan.block_size,
+                            args=(
+                                mu_tilde,
+                                mu_out,
+                                reduce_stats.footprint_bytes,
+                                config.precision,
+                            ),
+                        )
 
-            # --- download -------------------------------------------------
-            host_mu_tilde = np.empty((num_vectors, width), dtype=dtype)
-            host_mu = np.empty(width, dtype=dtype)
-            host_state = None
-            with tracer.device_span("gpu.download", device):
-                device.memcpy_dtoh(host_mu_tilde, mu_tilde)
-                device.memcpy_dtoh(host_mu, mu_out)
+                    # --- download -------------------------------------------
+                    host_mu = np.empty(width, dtype=dtype)
+                    with tracer.device_span("gpu.download", device):
+                        device.memcpy_dtoh(host_mu_tilde, mu_tilde)
+                        device.memcpy_dtoh(host_mu, mu_out)
+                        if d_state_out is not None:
+                            host_state = np.empty((num_vectors, 2, dim), dtype=dtype)
+                            device.memcpy_dtoh(host_state, d_state_out)
+                    mu_out.free()
+                    mu_tilde.free()
                 if d_state_out is not None:
-                    host_state = np.empty((num_vectors, 2, dim), dtype=dtype)
-                    device.memcpy_dtoh(host_state, d_state_out)
-            mu_out.free()
-            mu_tilde.free()
-            if d_state_out is not None:
-                d_state_out.free()
-            if d_state_in is not None:
-                d_state_in.free()
-            workspace.free()
-            matrix.free()
+                    d_state_out.free()
+                if d_state_in is not None:
+                    d_state_in.free()
+                workspace.free()
+                matrix.free()
+            finally:
+                # The normal path frees each buffer after its last use.
+                # What an exception left live (a partial upload, an
+                # aborted chunk's buffers) is freed here: the device
+                # outlives the run and must not leak VRAM.
+                for array in device.memory.live_arrays:
+                    array.free()
         if state_sink is not None:
             state_sink(host_state)
-        return host_mu_tilde.astype(np.float64), host_mu.astype(np.float64), device
-
-    def _run_chunked(
-        self,
-        device: Device,
-        matrix: DeviceMatrix,
-        workspace,
-        config: KPMConfig,
-        *,
-        spmv: SpmvModel,
-        dim: int,
-        dtype,
-        first_vector: int,
-        num_vectors: int,
-        checkpoint_every: int | None,
-        on_chunk: Callable[[CheckpointChunk], None] | None,
-    ) -> tuple[np.ndarray, np.ndarray, Device]:
-        """Checkpoint-mode recursion: one launch + download per chunk.
-
-        Every chunk launch uses the same per-vector accounting as the
-        single-launch path, so the only modeled-cost difference is the
-        finer-grained downloads — the honest price of checkpointing.
-        """
-        if checkpoint_every is None:
-            checkpoint_every = num_vectors
-        checkpoint_every = check_positive_int(checkpoint_every, "checkpoint_every")
-        tracer = current_tracer()
-        num_moments = config.num_moments
-        host_mu_tilde = np.empty((num_vectors, num_moments), dtype=dtype)
-        for start in range(0, num_vectors, checkpoint_every):
-            count = min(checkpoint_every, num_vectors - start)
-            sub_plan = plan_grid(count, config.block_size, self.spec)
-            pv_stats = per_vector_recursion_stats(
-                dim,
-                num_moments,
-                spmv=spmv,
-                block_size=sub_plan.block_size,
-                precision=config.precision,
-            )
-            footprint = recursion_footprint_bytes(
-                dim, sub_plan, self.spec, spmv=spmv, precision=config.precision
-            )
-            mu_chunk = device.alloc(
-                (count, num_moments), dtype=dtype, name="mu_tilde.chunk"
-            )
-            seconds_before = device.modeled_seconds
-            with tracer.device_span(
-                "gpu.moments", device, chunk_start=first_vector + start
-            ):
-                device.launch(
-                    kpm_recursion_kernel,
-                    grid=sub_plan.num_blocks,
-                    block=sub_plan.block_size,
-                    args=(
-                        matrix,
-                        workspace,
-                        mu_chunk,
-                        sub_plan,
-                        pv_stats,
-                        footprint,
-                        num_moments,
-                        config.num_random_vectors,
-                        config.vector_kind,
-                        config.seed,
-                        first_vector + start,
-                    ),
-                    shared_bytes_per_block=sub_plan.block_size * 8,
-                )
-            # Per-chunk download buffer (final chunk can be narrower),
-            # overwritten by memcpy_dtoh — once per chunk, not per moment.
-            rows = np.empty((count, num_moments), dtype=dtype)  # repro: noqa[RA009]
-            with tracer.device_span("gpu.download", device):
-                device.memcpy_dtoh(rows, mu_chunk)
-            mu_chunk.free()
-            host_mu_tilde[start : start + count] = rows
-            if on_chunk is not None:
-                on_chunk(
-                    CheckpointChunk(
-                        first_vector=first_vector + start,
-                        num_vectors=count,
-                        rows=rows.astype(np.float64),
-                        modeled_seconds=device.modeled_seconds - seconds_before,
-                    )
-                )
-        host_mu = host_mu_tilde.mean(axis=0)
         return host_mu_tilde.astype(np.float64), host_mu.astype(np.float64), device

@@ -86,10 +86,10 @@ class TestSeededMutants:
 
     def test_off_by_one_store_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = "mu_tilde.data[v, order] = r0 @ ws[nxt]"
+        target = "mu_tilde.data[v, order - start_moment] = r0 @ ws[nxt]"
         assert target in original
         mutated = original.replace(
-            target, "mu_tilde.data[v, order + 1] = r0 @ ws[nxt]"
+            target, "mu_tilde.data[v, order - start_moment + 1] = r0 @ ws[nxt]"
         )
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"

@@ -258,6 +258,14 @@ class TestResilientRun:
         with pytest.raises(ValidationError):
             MultiGpuKPM(2, checkpoint_every=0)
 
+    def test_constructor_validates_device_settings(self):
+        # Checked when the engine is built, not on its first run: a
+        # serving pool would otherwise fail every request it routes here.
+        with pytest.raises(ValidationError, match="spmv_format must be one of"):
+            MultiGpuKPM(2, spmv_format="bogus")
+        with pytest.raises(ValidationError, match="GpuSpec"):
+            MultiGpuKPM(2, spec="x")
+
     def test_resilient_property(self):
         assert not MultiGpuKPM(2).resilient
         assert MultiGpuKPM(2, checkpoint_every=4).resilient

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import OutOfMemoryError, ValidationError
 from repro.gpu import Device, TESLA_C2050, tiny_test_device
 from repro.gpukpm import (
     GpuKPM,
@@ -297,3 +297,69 @@ class TestResumableGpu:
                 resume_state=state.data,
                 checkpoint_every=2,
             )
+
+
+class TestBuffersFreedOnError:
+    """A run that raises leaves no device buffer live, a partial upload included."""
+
+    CONFIG = KPMConfig(
+        num_moments=12, num_random_vectors=5, num_realizations=1, seed=3, block_size=2
+    )
+
+    @staticmethod
+    def _record_allocations(monkeypatch):
+        """Log ``(bytes in use before, bytes requested, name)`` per allocation."""
+        log = []
+        original = Device.alloc
+
+        def recording(self, shape, *, dtype=np.float64, name="buffer"):
+            nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            log.append((self.memory.used_bytes, nbytes, name))
+            return original(self, shape, dtype=dtype, name=name)
+
+        monkeypatch.setattr(Device, "alloc", recording)
+        return log
+
+    @staticmethod
+    def _runs(scaled, config):
+        bigger = config.with_updates(num_moments=config.num_moments + 5)
+        data, _, state = GpuKPM().compute_moments_resumable(scaled, config)
+        return {
+            "cold": lambda engine: engine.compute_moments(scaled, config),
+            "capture": lambda engine: engine.compute_moments_resumable(scaled, config),
+            "resume": lambda engine: engine.extend_moments(scaled, bigger, data, state),
+            "chunked": lambda engine: engine.run_partition(
+                scaled, config, first_vector=1, num_vectors=4, checkpoint_every=2
+            ),
+        }
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("mode", ["cold", "capture", "resume", "chunked"])
+    def test_each_failing_allocation_frees_everything(
+        self, monkeypatch, storage, mode
+    ):
+        h = tight_binding_hamiltonian(cubic(3), format=storage)
+        scaled, _ = rescale_operator(h)
+        run = self._runs(scaled, self.CONFIG)[mode]
+        log = self._record_allocations(monkeypatch)
+        run(GpuKPM(tiny_test_device()))
+        reference = list(log)
+        high_water = 0
+        swept = set()
+        for index, (used, nbytes, name) in enumerate(reference):
+            # A capacity one byte short of this request makes it the
+            # first allocation to fail, unless an earlier one needs more.
+            capacity = used + nbytes - 1
+            if capacity < high_water:
+                continue
+            high_water = used + nbytes
+            log.clear()
+            engine = GpuKPM(tiny_test_device(global_mem_bytes=capacity))
+            with pytest.raises(OutOfMemoryError):
+                run(engine)
+            assert len(log) == index + 1 and log[-1][2] == name
+            memory = engine.last_device.memory
+            assert memory.live_arrays == (), f"{name} failed and leaked"
+            assert memory.used_bytes == 0
+            swept.add(name)
+        assert swept == {name for _, _, name in reference}
