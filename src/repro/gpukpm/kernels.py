@@ -1,4 +1,4 @@
-"""Device kernels of the GPU KPM (paper Fig. 4) and the SpMV programs.
+"""Device kernels of the GPU KPM (paper Fig. 4).
 
 The recursion/reduction pair is exactly the paper's two parallel parts:
 
@@ -11,20 +11,19 @@ The recursion/reduction pair is exactly the paper's two parallel parts:
 * :func:`reduce_moments_kernel` — part (b): parallel mean of the
   ``mu~`` table over the ``R*S`` vectors (paper Fig. 4b).
 
-The standalone SpMV block programs (:func:`spmv_csr_scalar_kernel`,
-:func:`spmv_csr_vector_kernel`, :func:`spmv_ell_kernel`) compute one
-``y = H~ @ x`` with rows partitioned across blocks — the probe kernels
-the autotuner (:mod:`repro.tune`) launches to confirm its analytic
-scores on the modeled clock.
+There is no standalone SpMV program: each storage format (dense, CSR,
+CSR-vector, ELL) runs inside :func:`kpm_recursion_kernel` through
+:meth:`DeviceMatrix.matvec`, and the autotuner (:mod:`repro.tune`)
+confirms a choice by running ``GpuKPM.compute_moments`` in it.
 
 Every matrix product — device-resident or host-side — runs the
 *canonical contraction order* of :mod:`repro.sparse.sweep`, so the
-storage format (dense, CSR, ELL) and the program flavor (scalar vs
-warp-vector) change modeled cost but never numerics.  On real hardware
-a warp-per-row program would reduce partial sums in a tree; here the
+storage format and the CSR program flavor (scalar vs warp-vector)
+change modeled cost but never numerics.  On real hardware a
+warp-per-row program would reduce partial sums in a tree; here the
 tree lives only in the cost model (``SpmvModel`` FLOPs/coalescing) while
 the functional semantics stay canonical — that is what lets the tuner
-switch programs per matrix under the serving layer's bit-identical
+switch formats per matrix under the serving layer's bit-identical
 replay guarantee.
 
 Charges are the shared accounting of :mod:`repro.gpukpm.stats` /
@@ -51,9 +50,6 @@ __all__ = [
     "DeviceMatrix",
     "kpm_recursion_kernel",
     "reduce_moments_kernel",
-    "spmv_csr_scalar_kernel",
-    "spmv_csr_vector_kernel",
-    "spmv_ell_kernel",
 ]
 
 
@@ -321,123 +317,3 @@ def reduce_moments_kernel(  # repro: noqa[RA005] -- block program; host pipeline
         coalescing=1.0,
         precision=precision,
     )
-
-
-def _charge_spmv_rows(ctx, spmv, n_rows: int, rows: int, footprint_bytes) -> None:
-    """Charge this block's row share of one matvec priced by ``spmv``."""
-    share = rows / n_rows
-    item = 8  # output write in the device dtype; models carry the read bytes
-    ctx.charge(
-        flops=spmv.flops_per_matvec * share,
-        gmem_read=spmv.read_bytes_per_matvec * share,
-        gmem_write=float(rows * item),
-        footprint=footprint_bytes,
-        coalescing=spmv.coalescing,
-        thread_efficiency=spmv.thread_efficiency,
-        precision="double",
-    )
-
-
-# Shared launch contract of the CSR SpMV flavors: rows tiled across
-# blocks by ctx.thread_range, gathers bounded by the CSR value ranges.
-_SPMV_CSR_CONTRACT = KernelContract(
-    symbols={"n_rows": (1, None), "n_cols": (1, None), "nnz": (0, None)},
-    arrays={
-        "x": ArraySpec(extent=("n_cols",), role="in"),
-        "y": ArraySpec(extent=("n_rows",), role="out", coverage=0),
-    },
-    matrices={"matrix": MatrixSpec("n_rows", "n_cols", nnz="nnz")},
-)
-
-_SPMV_ELL_CONTRACT = KernelContract(
-    symbols={
-        "n_rows": (1, None),
-        "n_cols": (1, None),
-        "ell_width": (0, None),
-    },
-    arrays={
-        "x": ArraySpec(extent=("n_cols",), role="in"),
-        "y": ArraySpec(extent=("n_rows",), role="out", coverage=0),
-    },
-    matrices={
-        "matrix": MatrixSpec("n_rows", "n_cols", ell_width="ell_width")
-    },
-)
-
-
-@kernel("spmv_csr_scalar", pow2_block=True, contract=_SPMV_CSR_CONTRACT)
-def spmv_csr_scalar_kernel(  # repro: noqa[RA005] -- block program; tune.probe validates the launch
-    ctx, matrix: DeviceMatrix, x, y, spmv, footprint_bytes
-):
-    """Scalar CSR SpMV: one thread walks one row's gather.
-
-    Rows are tiled across blocks with the grid-stride idiom; each row
-    accumulates its stored entries left-to-right from ``+0.0`` — the
-    canonical contraction order restricted to this block's rows.
-    """
-    n_rows = matrix.shape[0]
-    rows = ctx.thread_range(n_rows)
-    if rows.size == 0:
-        return
-    data, indices, indptr = matrix.csr
-    starts = np.asarray(indptr.data, dtype=np.int64)[rows]
-    lengths = np.asarray(indptr.data, dtype=np.int64)[rows + 1] - starts
-    acc = np.zeros(rows.size, dtype=y.data.dtype)
-    for k in range(int(lengths.max(initial=0))):
-        active = lengths > k
-        pos = starts[active] + k
-        acc[active] += data.data[pos] * x.data[indices.data[pos]]
-    y.data[rows] = acc
-    _charge_spmv_rows(ctx, spmv, n_rows, rows.size, footprint_bytes)
-
-
-@kernel("spmv_csr_vector", pow2_block=True, contract=_SPMV_CSR_CONTRACT)
-def spmv_csr_vector_kernel(  # repro: noqa[RA005] -- block program; tune.probe validates the launch
-    ctx, matrix: DeviceMatrix, x, y, spmv, footprint_bytes
-):
-    """Vector CSR SpMV: a ``vector_width``-lane warp team per row.
-
-    On hardware the team strides the row and combines lane partials in a
-    shared-memory tree; here the tree is priced by ``spmv`` (extra
-    ``log2(w)`` FLOPs per row, lane-fill coalescing/efficiency) while
-    the functional result stays in the canonical order — the whole point
-    of the program split being a pure cost choice.
-    """
-    n_rows = matrix.shape[0]
-    rows = ctx.thread_range(n_rows)
-    if rows.size == 0:
-        return
-    ctx.shared_alloc(ctx.threads_per_block * 8)  # lane-partial tree
-    data, indices, indptr = matrix.csr
-    starts = np.asarray(indptr.data, dtype=np.int64)[rows]
-    lengths = np.asarray(indptr.data, dtype=np.int64)[rows + 1] - starts
-    acc = np.zeros(rows.size, dtype=y.data.dtype)
-    for k in range(int(lengths.max(initial=0))):
-        active = lengths > k
-        pos = starts[active] + k
-        acc[active] += data.data[pos] * x.data[indices.data[pos]]
-    y.data[rows] = acc
-    _charge_spmv_rows(ctx, spmv, n_rows, rows.size, footprint_bytes)
-
-
-@kernel("spmv_ell", pow2_block=True, contract=_SPMV_ELL_CONTRACT)
-def spmv_ell_kernel(  # repro: noqa[RA005] -- block program; tune.probe validates the launch
-    ctx, matrix: DeviceMatrix, x, y, spmv, footprint_bytes
-):
-    """ELL SpMV: one thread per row streaming the padded slot columns.
-
-    Padded slots contribute exact ``0.0 * x[0]`` products that the
-    canonical accumulation absorbs bit-exactly (see
-    :mod:`repro.sparse.sweep`), while the cost model charges their full
-    memory traffic — padding waste is a price, never a perturbation.
-    """
-    n_rows = matrix.shape[0]
-    rows = ctx.thread_range(n_rows)
-    if rows.size == 0:
-        return
-    ell_data, ell_indices = matrix.ell
-    acc = np.zeros(rows.size, dtype=y.data.dtype)
-    for k in range(ell_data.shape[1]):
-        acc += ell_data.data[rows, k] * x.data[ell_indices.data[rows, k]]
-    y.data[rows] = acc
-    _charge_spmv_rows(ctx, spmv, n_rows, rows.size, footprint_bytes)

@@ -42,7 +42,7 @@ import math
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.errors import DeviceError, ReproError, ValidationError
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.health import ElasticEnginePool
 from repro.serve.requests import SpectralResponse
@@ -174,7 +174,7 @@ class Gateway(SpectralService):
         )
         self.clock = 0.0
         self._arrivals: dict[int, float] = {}
-        self._pending: dict[int, tuple] = {}
+        self._pending: dict[int, float] = {}
         self._terminal: dict[int, SpectralResponse] = {}
         self._latencies: list[float] = []
         self._window_cost = 0.0
@@ -215,28 +215,36 @@ class Gateway(SpectralService):
             self._advance(now)
         op, key = self._prepare(request)
         cost = self._price(op, key, request.config)
+        decision = self.admission.admit(request.tenant, cost, self.clock)
+        if not decision.admitted:
+            return self._reject(request, f"admission:{decision.reason}")
+        seq = self._take_seq()
+        self._admitted += 1
+        self._window_cost += cost
+        self._pending[seq] = cost
+        self.scheduler.enqueue(
+            QueuedRequest(seq=seq, request=request, operator=op, key=key)
+        )
+        return seq, None
+
+    def _take_seq(self) -> int:
+        """The next sequence number, counted as one offered request."""
         seq = self._next_seq
         self._next_seq += 1
         self._requests_total += 1
         self._offered += 1
         self._arrivals[seq] = self.clock
-        decision = self.admission.admit(request.tenant, cost, self.clock)
-        if not decision.admitted:
-            self._rejected += 1
-            response = SpectralResponse.unserved(
-                request,
-                outcome="rejected",
-                reason=f"admission:{decision.reason}",
-            )
-            self._terminal[seq] = response
-            return seq, response
-        self._admitted += 1
-        self._window_cost += cost
-        self._pending[seq] = (request, cost)
-        self.scheduler.enqueue(
-            QueuedRequest(seq=seq, request=request, operator=op, key=key)
+        return seq
+
+    def _reject(self, request, reason: str) -> tuple[int, SpectralResponse]:
+        """Offer ``request`` as a terminal ``rejected`` response."""
+        seq = self._take_seq()
+        self._rejected += 1
+        response = SpectralResponse.unserved(
+            request, outcome="rejected", reason=reason
         )
-        return seq, None
+        self._terminal[seq] = response
+        return seq, response
 
     def cancel(self, seq: int) -> SpectralResponse | None:
         """Withdraw a queued request; refunds its admission cost.
@@ -249,11 +257,10 @@ class Gateway(SpectralService):
         removed = self.scheduler.cancel(seq)
         if removed is None:
             return None
-        request, cost = self._pending.pop(seq)
-        self.admission.refund(request.tenant, cost)
+        self.admission.refund(removed.request.tenant, self._pending.pop(seq))
         self._cancelled += 1
         response = SpectralResponse.unserved(
-            request, outcome="cancelled", reason="cancelled before dispatch"
+            removed.request, outcome="cancelled", reason="cancelled before dispatch"
         )
         self._terminal[seq] = response
         return response
@@ -323,74 +330,58 @@ class Gateway(SpectralService):
     def _dispatch(self, batch: Batch, responses: dict, forwarded: dict) -> None:
         active = max(1, len(self.pool.healthy_slots()))
         deadline = batch.earliest_deadline
-        cost = self._batch_cost(batch)
-        projected = self.clock + cost / active
-        if self.degrade and math.isfinite(deadline) and projected > deadline:
-            entry = self.cache.entry_at(batch.key)
-            if entry is not None and entry.num_moments < batch.num_moments:
-                self._degrade(batch, entry, responses, projected)
-                return
+        projected = self.clock + self._batch_cost(batch) / active
+        entry = self.cache.entry_at(batch.key)
         before = len(responses)
-        mark = self._modeled_served
-        self._serve_batch(batch, responses, forwarded)
-        spent = self._modeled_served - mark
-        self._advance(self.clock + spent / active)
+        if (
+            self.degrade
+            and math.isfinite(deadline)
+            and projected > deadline
+            and entry is not None
+            and entry.num_moments < batch.num_moments
+        ):
+            # The prefix is bit-identical to the leading moments of the
+            # full answer (prefix closure): a degraded response is the
+            # honest truncation of the result, delivered before the
+            # deadline instead of after it.
+            reason = (
+                f"deadline: projected finish {projected:.3f}s exceeds "
+                f"deadline {deadline:.3f}s; served cached "
+                f"N={entry.num_moments} prefix"
+            )
+            self._batches_total += 1
+            self._coalesced_requests += batch.size - 1
+            answers = self._answer(
+                batch, entry, "cache", 0.0,
+                final=False, outcome="degraded", reason=reason,
+            )
+            responses.update(answers)
+            self._responses_total += len(answers)
+        else:
+            mark = self._modeled_served
+            self._serve_batch(batch, responses, forwarded)
+            self._advance(self.clock + (self._modeled_served - mark) / active)
         for seq in list(responses)[before:]:
             response = responses[seq]
-            self._served += 1
-            if (
-                response.deadline is not None
-                and self.clock > response.deadline
-            ):
+            cost = self._pending.pop(seq, 0.0)
+            if response.outcome == "rejected":
+                # A request-side error: nothing was served, so nothing
+                # is charged.
+                self.admission.refund(response.tenant, cost)
+                self._rejected += 1
+                continue
+            if response.outcome == "degraded":
+                self._degraded += 1
+            else:
+                self._served += 1
+            # An answer counts as on-time goodput only when the member's
+            # own deadline still holds.
+            if response.deadline is not None and self.clock > response.deadline:
                 response.deadline_missed = True
                 self._deadline_misses += 1
-            self._record_latency(seq)
-            self._pending.pop(seq, None)
-
-    def _degrade(
-        self, batch: Batch, entry, responses: dict, projected: float
-    ) -> None:
-        """Answer the whole batch from the cached lower-``N`` prefix.
-
-        The prefix is bit-identical to the leading moments of the full
-        answer (prefix closure), so a degraded response is the honest
-        truncation of the result the caller would eventually have
-        gotten — delivered before the deadline instead of after it.
-        """
-        reason = (
-            f"deadline: projected finish {projected:.3f}s exceeds "
-            f"deadline {batch.earliest_deadline:.3f}s; served cached "
-            f"N={entry.num_moments} prefix"
-        )
-        self._batches_total += 1
-        self._coalesced_requests += batch.size - 1
-        for queued in batch.entries:
-            member_n = min(queued.request.config.num_moments, entry.num_moments)
-            response = self._reconstruct(
-                queued.request,
-                entry.prefix(member_n),
-                source="cache",
-                batch_id=batch.batch_id,
-                modeled_seconds=0.0,
-                final=False,
-                outcome="degraded",
-                reason=reason,
-            )
-            # A degraded answer is delivered *now*; it only counts as
-            # on-time goodput when the member's own deadline still holds.
-            if self.clock > queued.request.effective_deadline:
-                response.deadline_missed = True
-                self._deadline_misses += 1
-            responses[queued.seq] = response
-            self._responses_total += 1
-            self._degraded += 1
-            self._record_latency(queued.seq)
-            self._pending.pop(queued.seq, None)
-
-    def _record_latency(self, seq: int) -> None:
-        arrived = self._arrivals.get(seq)
-        if arrived is not None:
-            self._latencies.append(self.clock - arrived)
+            arrived = self._arrivals.get(seq)
+            if arrived is not None:
+                self._latencies.append(self.clock - arrived)
 
     # ------------------------------------------------------------------
     # Trace replay
@@ -405,7 +396,13 @@ class Gateway(SpectralService):
         ``flush_interval`` modeled seconds the pool is rebalanced
         against the window's admitted demand rate and the queue is
         pumped.  The returned list covers every offered request —
-        served, degraded, rejected, and cancelled alike.
+        served, degraded, rejected, and cancelled alike.  An arrival
+        whose :meth:`offer` raises a request-side error (a malformed
+        operator, say) is answered ``rejected`` with reason
+        ``invalid: <message>`` and the replay goes on; a member of a
+        batch whose moments fail on a request-side error is answered
+        ``rejected`` (``error: <message>``) and its admission cost
+        refunded.
         """
         flush_interval = check_positive_float(flush_interval, "flush_interval")
         arrivals = list(arrivals)
@@ -428,7 +425,12 @@ class Gateway(SpectralService):
                 self._advance(boundary)
                 self._close_window(flush_interval, results)
                 boundary += flush_interval
-            seq, rejected = self.offer(arrival.request, now=arrival.at)
+            try:
+                seq, rejected = self.offer(arrival.request, now=arrival.at)
+            except ReproError as exc:
+                if isinstance(exc, DeviceError):
+                    raise
+                seq, rejected = self._reject(arrival.request, f"invalid: {exc}")
             if rejected is not None:
                 results[seq] = rejected
         self._close_window(flush_interval, results)

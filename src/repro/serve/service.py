@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DeviceError, ValidationError
+from repro.errors import DeviceError, ReproError, ValidationError
 from repro.kpm.dos import validate_spectral_operator
 from repro.kpm.engines import ResumableMomentEngine
 from repro.kpm.green import greens_function
@@ -289,19 +289,7 @@ class SpectralService:
     # ------------------------------------------------------------------
     def flush(self) -> list[SpectralResponse]:
         """Drain the queue; responses are returned in submission order."""
-        tracer = current_tracer()
-        with WallTimer() as timer:
-            with tracer.span(
-                "serve.flush", category="serve", queue_depth=self.scheduler.depth
-            ) as flush_span:
-                responses: dict[int, SpectralResponse] = {}
-                forwarded: dict[tuple, CacheEntry] = {}
-                batches = self.scheduler.drain()
-                flush_span.set(batches=len(batches))
-                for batch in batches:
-                    self._serve_batch(batch, responses, forwarded)
-        self._wall_seconds += timer.seconds
-        return [responses[seq] for seq in sorted(responses)]
+        return self._drain()
 
     def flush_refined(
         self, *, tolerance=None, growth=2.0, on_tier=None
@@ -319,6 +307,7 @@ class SpectralService:
         to ``on_tier`` as lists of non-final responses; the returned
         list holds only final responses in submission order.  Batches
         with no cached prefix are served exactly like :meth:`flush`.
+        No tier overshoots the target, however large ``growth`` is.
         """
         if tolerance is not None:
             tolerance = float(tolerance)
@@ -329,33 +318,45 @@ class SpectralService:
         growth = float(growth)
         if not math.isfinite(growth) or growth <= 1.0:
             raise ValidationError(f"growth must exceed 1.0, got {growth}")
+        return self._drain(refine=(tolerance, growth, on_tier))
+
+    def _drain(self, refine=None) -> list[SpectralResponse]:
+        """Serve every queued batch; the final responses in submission order."""
         tracer = current_tracer()
+        refined = {} if refine is None else {"refined": True}
         with WallTimer() as timer:
             with tracer.span(
                 "serve.flush",
                 category="serve",
                 queue_depth=self.scheduler.depth,
-                refined=True,
+                **refined,
             ) as flush_span:
                 responses: dict[int, SpectralResponse] = {}
                 forwarded: dict[tuple, CacheEntry] = {}
                 batches = self.scheduler.drain()
                 flush_span.set(batches=len(batches))
                 for batch in batches:
-                    self._serve_batch(
-                        batch,
-                        responses,
-                        forwarded,
-                        refine=(tolerance, growth, on_tier),
-                    )
+                    self._serve_batch(batch, responses, forwarded, refine)
         self._wall_seconds += timer.seconds
         return [responses[seq] for seq in sorted(responses)]
 
     def _serve_batch(
         self, batch: Batch, responses: dict, forwarded: dict, refine=None
     ) -> None:
+        """Answer every member of ``batch`` into ``responses``.
+
+        The lookup tries the cache, then a sibling batch's entry from
+        this flush (``forwarded``), then grows the key's moments to the
+        batch order.  Under ``refine = (tolerance, growth, on_tier)`` a
+        cached prefix below the batch order is answered at once as tier
+        0 and grown tier by tier.  A request-side error (any
+        :class:`~repro.errors.ReproError` but a
+        :class:`~repro.errors.DeviceError`) answers each member
+        ``rejected``; a device fault no engine can absorb propagates.
+        """
         tracer = current_tracer()
         head = batch.entries[0]
+        target = batch.num_moments
         with tracer.span(
             "serve.batch",
             category="serve",
@@ -364,144 +365,105 @@ class SpectralService:
             coalesced=batch.size - 1,
             queue_wait=self._next_seq - 1 - head.seq,
         ) as batch_span:
-            if refine is not None:
-                stored = self.cache.entry_at(batch.key)
-                if stored is not None and stored.num_moments < batch.num_moments:
-                    self._serve_batch_refined(
-                        batch, responses, forwarded, batch_span, *refine
-                    )
-                    return
-            self._serve_batch_inner(batch, responses, batch_span, forwarded)
-
-    def _serve_batch_inner(
-        self, batch: Batch, responses: dict, batch_span, forwarded: dict
-    ) -> None:
-        target_n = batch.num_moments
-        marginal = None
-        entry = self.cache.get(batch.key, num_moments=target_n)
-        mode = "hit"
-        if entry is None:
-            fwd = forwarded.get(batch.key)
-            if fwd is not None and fwd.num_moments >= target_n:
-                # Cache disabled (or the entry was evicted mid-flush):
-                # a sibling batch in this flush already computed these
-                # moments — forward them instead of recomputing.
-                entry = fwd.prefix(target_n)
-                mode = "forward"
-                self._forwards += 1
-            else:
-                base = self.cache.peek_extendable(batch.key, target_n)
-                if base is not None:
-                    extended = self._extend_entry(batch, base, target_n)
-                    if extended is not None:
-                        entry, marginal = extended
-                        mode = "extend"
-                        self._extensions += 1
-                        self.cache.put(batch.key, entry, extended=True)
+            stored = self.cache.entry_at(batch.key)
+            refining = (
+                refine is not None
+                and stored is not None
+                and stored.num_moments < target
+            )
+            tolerance, growth, on_tier = refine if refining else (None, None, None)
+            # Under refinement the whole shorter prefix is the hit.
+            entry = self.cache.get(
+                batch.key, num_moments=None if refining else target
+            )
+            mode, source = ("refined" if refining else "hit"), "cache"
+            if entry is None:
+                sibling = forwarded.get(batch.key)
+                if sibling is not None and sibling.num_moments >= target:
+                    # Cache disabled (or the entry was evicted mid-flush):
+                    # a sibling batch already computed these moments.
+                    entry, mode, source = sibling.prefix(target), "forward", "forwarded"
+                    self._forwards += 1
+            cost = None if entry is None or entry.modeled_seconds is None else 0.0
+            tier = 0
+            try:
                 if entry is None:
-                    entry = self._compute_entry(batch, target_n)
-                    mode = "compute"
-                    marginal = entry.modeled_seconds
-                    self.cache.put(batch.key, entry)
-                forwarded[batch.key] = entry
-                if marginal is not None:
-                    self._modeled_served += marginal
-        batch_span.set(cache=mode, engine=entry.engine, num_moments=target_n)
-        self._account_naive(batch, entry)
-        self._batches_total += 1
-        self._coalesced_requests += batch.size - 1
-        for index, queued in enumerate(batch.entries):
-            if mode in ("hit", "forward"):
-                source = "cache" if mode == "hit" else "forwarded"
-                cost = 0.0 if entry.modeled_seconds is not None else None
-            elif mode == "extend":
-                source = "extended" if index == 0 else "coalesced"
-                cost = marginal
-            else:
-                source = "computed" if index == 0 else "coalesced"
-                cost = entry.modeled_seconds
-            member_n = queued.request.config.num_moments
-            responses[queued.seq] = self._reconstruct(
-                queued.request, entry.prefix(member_n), source=source,
-                batch_id=batch.batch_id, modeled_seconds=cost,
-            )
-            self._responses_total += 1
-
-    def _serve_batch_refined(
-        self, batch: Batch, responses: dict, forwarded: dict,
-        batch_span, tolerance, growth, on_tier,
-    ) -> None:
-        """Tiered serving: immediate prefix answer, then streamed refinement."""
-        target = batch.num_moments
-        entry = self.cache.get(batch.key)  # counted as a hit; full entry
-        n = entry.num_moments
-        tier = 0
-        source = "cache"
-        cost = 0.0 if entry.modeled_seconds is not None else None
-        self._account_naive(batch, entry)
-        self._batches_total += 1
-        self._coalesced_requests += batch.size - 1
-        while True:
-            converged = tolerance is not None and (
-                self._convergence_estimate(entry) <= tolerance
-            )
-            final = n >= target or converged
-            tier_responses = []
-            for queued in batch.entries:
-                member_n = min(queued.request.config.num_moments, n)
-                tier_responses.append(
-                    (
-                        queued.seq,
-                        self._reconstruct(
-                            queued.request,
-                            entry.prefix(member_n),
-                            source=source,
-                            batch_id=batch.batch_id,
-                            modeled_seconds=cost,
-                            tier=tier,
-                            final=final,
-                        ),
+                    entry, source, cost = self._grow(batch, target, forwarded)
+                    mode = "extend" if source == "extended" else "compute"
+                self._account_naive(batch, entry)
+                self._batches_total += 1
+                self._coalesced_requests += batch.size - 1
+                while True:
+                    order = entry.num_moments
+                    converged = tolerance is not None and (
+                        self._convergence_estimate(entry) <= tolerance
                     )
-                )
-            if final:
-                if converged and n < target:
-                    self._early_stops += 1
-                for seq, response in tier_responses:
-                    responses[seq] = response
-                    self._responses_total += 1
-                batch_span.set(
-                    cache="refined",
-                    engine=entry.engine,
-                    num_moments=n,
-                    tiers=tier,
-                    early_stop=bool(converged and n < target),
-                )
-                return
-            if on_tier is not None:
-                on_tier([response for _, response in tier_responses])
-            next_n = min(target, max(n + 1, math.ceil(n * growth)))
-            base = self.cache.peek_extendable(batch.key, next_n)
-            extended = (
-                self._extend_entry(batch, base, next_n)
-                if base is not None
-                else None
-            )
-            if extended is not None:
-                entry, cost = extended
-                source = "extended"
-                self._extensions += 1
-                self.cache.put(batch.key, entry, extended=True)
+                    final = order >= target or converged
+                    answers = self._answer(
+                        batch, entry, source, cost,
+                        coalesced=mode in ("extend", "compute"),
+                        tier=tier, final=final,
+                    )
+                    if final:
+                        break
+                    if on_tier is not None:
+                        on_tier(list(answers.values()))
+                    # Clamped before ceil: a huge finite growth is the target.
+                    next_order = max(order + 1, math.ceil(min(order * growth, target)))
+                    entry, source, cost = self._grow(batch, next_order, forwarded)
+                    self._refined_tiers += 1
+                    tier += 1
+            except ReproError as exc:
+                if isinstance(exc, DeviceError):
+                    raise
+                answers = {
+                    queued.seq: SpectralResponse.unserved(
+                        queued.request,
+                        outcome="rejected",
+                        reason=f"error: {exc}",
+                        batch_id=batch.batch_id,
+                    )
+                    for queued in batch.entries
+                }
+                batch_span.set(cache="error", num_moments=target)
             else:
-                entry = self._compute_entry(batch, next_n)
-                cost = entry.modeled_seconds
-                source = "computed"
-                self.cache.put(batch.key, entry)
-            forwarded[batch.key] = entry
-            if cost is not None:
-                self._modeled_served += cost
-            self._refined_tiers += 1
-            tier += 1
-            n = next_n
+                batch_span.set(
+                    cache=mode, engine=entry.engine, num_moments=entry.num_moments
+                )
+                if refining:
+                    early_stop = entry.num_moments < target
+                    self._early_stops += early_stop
+                    batch_span.set(tiers=tier, early_stop=early_stop)
+            responses.update(answers)
+            self._responses_total += len(answers)
+
+    def _answer(
+        self, batch: Batch, entry: CacheEntry, source: str, cost, *,
+        coalesced: bool = False, tier: int = 0, final: bool = True,
+        outcome: str = "served", reason: str = "",
+    ) -> dict[int, SpectralResponse]:
+        """One response per member of ``batch``, each at its own order.
+
+        Every member is reconstructed from ``entry`` truncated to the
+        smaller of its own ``N`` and the entry's.  ``coalesced`` labels
+        the members after the head ``"coalesced"``: they rode along on
+        the run the head triggered.
+        """
+        answers = {}
+        for index, queued in enumerate(batch.entries):
+            member_n = min(queued.request.config.num_moments, entry.num_moments)
+            answers[queued.seq] = self._reconstruct(
+                queued.request,
+                entry.prefix(member_n),
+                source="coalesced" if coalesced and index else source,
+                batch_id=batch.batch_id,
+                modeled_seconds=cost,
+                tier=tier,
+                final=final,
+                outcome=outcome,
+                reason=reason,
+            )
+        return answers
 
     # ------------------------------------------------------------------
     # Moment production
@@ -529,141 +491,109 @@ class SpectralService:
             cached = scaled_by_identity[key[1]] = (scaled, rescaling)
         return cached
 
-    def _scaled_for(self, batch: Batch) -> tuple:
-        """The (scaled, rescaling) pair for the batch's key, memoized."""
-        head = batch.entries[0]
-        return self._scaled_for_key(batch.key, head.operator, head.request.config)
+    def _grow(self, batch: Batch, num_moments: int, forwarded: dict) -> tuple:
+        """Grow the batch key's moments to ``num_moments``: the only producer.
 
-    def _compute_entry(self, batch: Batch, target_n: int) -> CacheEntry:
-        head = batch.entries[0]
-        config = head.request.config
-        if config.num_moments != target_n:
-            config = config.with_updates(num_moments=target_n)
-        scaled, rescaling = self._scaled_for(batch)
-        if isinstance(head.request, LDoSRequest):
-            # Deterministic single-vector moments: the same host path as
-            # repro.kpm.local_dos, bit-identical by construction.  The
-            # checkpoint lets later batches extend in place.
-            start = np.zeros(head.operator.shape[0], dtype=np.float64)
-            start[head.request.site] = 1.0
-            mu, checkpoint = moments_resumable(
-                scaled, start, target_n, use_doubling=config.use_doubling
-            )
-            return CacheEntry(
-                moments=mu,
-                rescaling=rescaling,
-                engine=HOST_ENGINE,
-                modeled_seconds=None,
-                state=checkpoint if self.cache.capacity > 0 else None,
-            )
-        affinity = self._key_affinity[batch.key]
-        tracer = current_tracer()
-        tried: list = []
-        while True:
-            slot = self.pool.select(affinity, excluding=tried)
-            # Capture a recursion checkpoint only when there is a cache
-            # to keep it in — the capture download is not free.
-            resumable = (
-                self.cache.capacity > 0
-                and self.cache.prefix
-                and isinstance(slot.engine, ResumableMomentEngine)
-            )
-            try:
-                clock_mark = getattr(tracer, "clock", 0.0)
-                state = None
-                if resumable:
-                    data, report, state = slot.engine.compute_moments_resumable(
-                        scaled, config
-                    )
-                else:
-                    data, report = slot.engine.compute_moments(scaled, config)
-                if (
-                    report.modeled_seconds is not None
-                    and getattr(tracer, "clock", 0.0) == clock_mark
-                ):
-                    # Uninstrumented engines (e.g. the cost-model backend)
-                    # still put their modeled total on the trace clock.
-                    tracer.advance(report.modeled_seconds)
-            except DeviceError:
-                # The fault taxonomy marks this an engine-side failure:
-                # strike the slot and retry the batch on the next healthy
-                # engine.  Request-side errors (ValidationError etc.)
-                # propagate to the caller instead.
-                self.pool.report_failure(slot)
-                tried.append(slot)
-                continue
-            self.pool.report_success(slot, report.modeled_seconds)
-            return CacheEntry(
-                moments=data,
-                rescaling=rescaling,
-                engine=slot.name,
-                modeled_seconds=report.modeled_seconds,
-                state=state,
-            )
+        A cached prefix with a recursion checkpoint is resumed — on the
+        host for LDoS, else on the engine that produced it while that
+        engine is in rotation and resumable — so the extended table is
+        bit-identical to that engine's cold run.  Otherwise the moments
+        are computed cold: LDoS on the host (the path of
+        :func:`repro.kpm.local_dos`), trace requests on the key's
+        affinity engine, failing over across the pool on device faults.
+        The entry is cached (with a checkpoint when there is a prefix
+        cache to keep it in — the capture download is not free) and
+        forwarded to sibling batches of this flush.
 
-    def _extend_entry(
-        self, batch: Batch, base: CacheEntry, target_n: int
-    ) -> tuple[CacheEntry, float | None] | None:
-        """Resume ``base``'s recursion up to ``target_n``.
-
-        Returns ``(entry, marginal_seconds)`` on success, ``None`` when
-        the producing engine is gone, not resumable, or fails with a
-        taxonomy error — the caller then falls back to a cold compute.
-        The extension runs on the *same* engine that produced the base
-        entry, so the extended table is bit-identical to that engine's
-        cold run at ``target_n``.
+        Returns ``(entry, source, marginal)``: ``source`` is
+        ``"extended"`` or ``"computed"``, ``marginal`` the modeled
+        seconds spent here (``None`` for unmodeled work).
         """
         head = batch.entries[0]
         config = head.request.config
-        if config.num_moments != target_n:
-            config = config.with_updates(num_moments=target_n)
-        scaled, rescaling = self._scaled_for(batch)
-        if base.engine == HOST_ENGINE:
-            segment, checkpoint = extend_recursion(scaled, base.state, target_n)
-            mu = np.concatenate([base.moments, segment])
-            return (
-                CacheEntry(
-                    moments=mu,
-                    rescaling=rescaling,
-                    engine=HOST_ENGINE,
-                    modeled_seconds=None,
-                    state=checkpoint,
-                ),
-                None,
+        scaled, rescaling = self._scaled_for_key(batch.key, head.operator, config)
+        if config.num_moments != num_moments:
+            config = config.with_updates(num_moments=num_moments)
+        keep_state = self.cache.capacity > 0 and self.cache.prefix
+        base = self.cache.peek_extendable(batch.key, num_moments)
+        entry = marginal = None
+        if base is not None and base.engine == HOST_ENGINE:
+            segment, state = extend_recursion(scaled, base.state, num_moments)
+            entry = CacheEntry(
+                np.concatenate([base.moments, segment]), rescaling, HOST_ENGINE,
+                None, state,
             )
-        slot = self._slot_for_engine(base.engine)
-        if slot is None or not isinstance(slot.engine, ResumableMomentEngine):
-            return None
+        elif base is not None:
+            slot = self._slot_for_engine(base.engine)
+            if slot is not None and isinstance(slot.engine, ResumableMomentEngine):
+                ran = self._call_engine(
+                    slot, slot.engine.extend_moments,
+                    scaled, config, base.moments, base.state,
+                )
+                if ran is not None:
+                    data, marginal, state = ran
+                    invested = None
+                    if base.modeled_seconds is not None or marginal is not None:
+                        invested = (base.modeled_seconds or 0.0) + (marginal or 0.0)
+                    entry = CacheEntry(data, rescaling, slot.name, invested, state)
+        source = "extended"
+        if entry is None:
+            source = "computed"
+            if isinstance(head.request, LDoSRequest):
+                start = np.zeros(head.operator.shape[0], dtype=np.float64)
+                start[head.request.site] = 1.0
+                mu, state = moments_resumable(
+                    scaled, start, num_moments, use_doubling=config.use_doubling
+                )
+                entry = CacheEntry(
+                    mu, rescaling, HOST_ENGINE, None, state if keep_state else None
+                )
+            else:
+                tried: list = []
+                ran = None
+                while ran is None:
+                    slot = self.pool.select(
+                        self._key_affinity[batch.key], excluding=tried
+                    )
+                    tried.append(slot)
+                    if keep_state and isinstance(slot.engine, ResumableMomentEngine):
+                        method = slot.engine.compute_moments_resumable
+                    else:
+                        method = slot.engine.compute_moments
+                    ran = self._call_engine(slot, method, scaled, config)
+                data, marginal, state = ran
+                entry = CacheEntry(data, rescaling, slot.name, marginal, state)
+        else:
+            self._extensions += 1
+        self.cache.put(batch.key, entry, extended=source == "extended")
+        forwarded[batch.key] = entry
+        if marginal is not None:
+            self._modeled_served += marginal
+        return entry, source, marginal
+
+    def _call_engine(self, slot: EngineSlot, method, *args):
+        """Run one engine call on ``slot`` under the pool's health accounting.
+
+        Returns ``(data, modeled_seconds, state)`` — ``state`` is
+        ``None`` for a plain ``compute_moments`` — or ``None`` after a
+        device fault, which strikes the slot.  Request-side errors
+        (``ValidationError`` etc.) propagate and do not penalize the
+        engine.
+        """
         tracer = current_tracer()
+        clock_mark = getattr(tracer, "clock", 0.0)
         try:
-            clock_mark = getattr(tracer, "clock", 0.0)
-            data, report, state = slot.engine.extend_moments(
-                scaled, config, base.moments, base.state
-            )
-            if (
-                report.modeled_seconds is not None
-                and getattr(tracer, "clock", 0.0) == clock_mark
-            ):
-                tracer.advance(report.modeled_seconds)
+            data, report, *state = method(*args)
         except DeviceError:
             self.pool.report_failure(slot)
             return None
-        self.pool.report_success(slot, report.modeled_seconds)
-        invested = None
-        if base.modeled_seconds is not None or report.modeled_seconds is not None:
-            invested = (base.modeled_seconds or 0.0) + (
-                report.modeled_seconds or 0.0
-            )
-        return (
-            CacheEntry(
-                moments=data,
-                rescaling=rescaling,
-                engine=slot.name,
-                modeled_seconds=invested,
-                state=state,
-            ),
-            report.modeled_seconds,
-        )
+        seconds = report.modeled_seconds
+        if seconds is not None and getattr(tracer, "clock", 0.0) == clock_mark:
+            # Uninstrumented engines (e.g. the cost-model backend) still
+            # put their modeled total on the trace clock.
+            tracer.advance(seconds)
+        self.pool.report_success(slot, seconds)
+        return data, seconds, (state[0] if state else None)
 
     def _slot_for_engine(self, name: str) -> EngineSlot | None:
         """The healthy pool slot with ``name``, if any."""
@@ -746,8 +676,7 @@ class SpectralService:
     # ------------------------------------------------------------------
     def _reconstruct(
         self, request, entry: CacheEntry, *, source, batch_id, modeled_seconds,
-        tier: int = 0, final: bool = True, outcome: str = "served",
-        reason: str = "", deadline_missed: bool = False,
+        tier: int, final: bool, outcome: str, reason: str,
     ) -> SpectralResponse:
         config = request.config
         if isinstance(request, GreenRequest):
@@ -781,7 +710,6 @@ class SpectralService:
             reason=reason,
             tenant=request.tenant,
             deadline=request.deadline,
-            deadline_missed=deadline_missed,
         )
 
     # ------------------------------------------------------------------

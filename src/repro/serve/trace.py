@@ -32,6 +32,19 @@ def _check_fraction(value, name: str) -> float:
     return value
 
 
+def _check_mix(repeat_bias, green_fraction, ldos_fraction) -> tuple:
+    """The validated workload-mix knobs shared by both trace generators."""
+    repeat_bias = _check_fraction(repeat_bias, "repeat_bias")
+    green_fraction = _check_fraction(green_fraction, "green_fraction")
+    ldos_fraction = _check_fraction(ldos_fraction, "ldos_fraction")
+    if green_fraction + ldos_fraction > 1.0:
+        raise ValidationError(
+            "green_fraction + ldos_fraction must not exceed 1, got "
+            f"{green_fraction + ldos_fraction}"
+        )
+    return repeat_bias, green_fraction, ldos_fraction
+
+
 def _workload_pool():
     """Distinct (name, hamiltonian, config) moment workloads.
 
@@ -55,6 +68,48 @@ def _workload_pool():
         for name, hamiltonian in operators
         for config in configs
     ]
+
+
+def _draw_workload(rng, pool: list, seen: dict, repeat_bias: float) -> tuple:
+    """One ``(name, hamiltonian, config)`` draw: a repeat or a fresh pick.
+
+    ``seen`` maps each workload name drawn so far to its workload, in
+    first-draw order; a fresh pick joins it.
+    """
+    if seen and float(rng.random()) < repeat_bias:
+        return list(seen.values())[int(rng.integers(0, len(seen)))]
+    workload = pool[int(rng.integers(0, len(pool)))]
+    seen.setdefault(workload[0], workload)
+    return workload
+
+
+def _draw_request(
+    rng, index: int, workload: tuple, green_fraction, ldos_fraction, **fields
+):
+    """Draw the request kind (and LDoS site) for ``workload``; build it.
+
+    ``fields`` (tenant, deadline, priority) pass through to the request.
+    """
+    name, hamiltonian, config = workload
+    kind_draw = float(rng.random())
+    if kind_draw < green_fraction:
+        return GreenRequest(
+            hamiltonian,
+            energies=GREEN_ENERGIES,
+            config=config,
+            tag=f"{name}/green/{index}",
+            **fields,
+        )
+    if kind_draw < green_fraction + ldos_fraction:
+        site = int(rng.integers(0, hamiltonian.shape[0]))
+        return LDoSRequest(
+            hamiltonian,
+            site=site,
+            config=config,
+            tag=f"{name}/ldos{site}/{index}",
+            **fields,
+        )
+    return DoSRequest(hamiltonian, config=config, tag=f"{name}/dos/{index}", **fields)
 
 
 def synthetic_trace(
@@ -88,50 +143,19 @@ def synthetic_trace(
     :meth:`repro.serve.SpectralService.serve`.
     """
     num_requests = check_positive_int(num_requests, "num_requests")
-    repeat_bias = _check_fraction(repeat_bias, "repeat_bias")
-    green_fraction = _check_fraction(green_fraction, "green_fraction")
-    ldos_fraction = _check_fraction(ldos_fraction, "ldos_fraction")
-    if green_fraction + ldos_fraction > 1.0:
-        raise ValidationError(
-            "green_fraction + ldos_fraction must not exceed 1, got "
-            f"{green_fraction + ldos_fraction}"
-        )
-
+    repeat_bias, green_fraction, ldos_fraction = _check_mix(
+        repeat_bias, green_fraction, ldos_fraction
+    )
     pool = _workload_pool()
     rng = philox_stream(seed, 0)
-    seen: list[tuple] = []
-    seen_names: set[str] = set()
-    requests = []
-    for index in range(num_requests):
-        if seen and float(rng.random()) < repeat_bias:
-            name, hamiltonian, config = seen[int(rng.integers(0, len(seen)))]
-        else:
-            name, hamiltonian, config = pool[int(rng.integers(0, len(pool)))]
-            if name not in seen_names:
-                seen_names.add(name)
-                seen.append((name, hamiltonian, config))
-        kind_draw = float(rng.random())
-        if kind_draw < green_fraction:
-            requests.append(
-                GreenRequest(
-                    hamiltonian,
-                    energies=GREEN_ENERGIES,
-                    config=config,
-                    tag=f"{name}/green/{index}",
-                )
-            )
-        elif kind_draw < green_fraction + ldos_fraction:
-            site = int(rng.integers(0, hamiltonian.shape[0]))
-            requests.append(
-                LDoSRequest(
-                    hamiltonian,
-                    site=site,
-                    config=config,
-                    tag=f"{name}/ldos{site}/{index}",
-                )
-            )
-        else:
-            requests.append(
-                DoSRequest(hamiltonian, config=config, tag=f"{name}/dos/{index}")
-            )
-    return requests
+    seen: dict = {}
+    return [
+        _draw_request(
+            rng,
+            index,
+            _draw_workload(rng, pool, seen, repeat_bias),
+            green_fraction,
+            ldos_fraction,
+        )
+        for index in range(num_requests)
+    ]

@@ -25,13 +25,14 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
-from repro.serve.requests import (
-    DoSRequest,
-    GreenRequest,
-    LDoSRequest,
-    SpectralRequest,
+from repro.serve.requests import SpectralRequest
+from repro.serve.trace import (
+    _check_fraction,
+    _check_mix,
+    _draw_request,
+    _draw_workload,
+    _workload_pool,
 )
-from repro.serve.trace import GREEN_ENERGIES, _workload_pool
 from repro.util.rng import philox_stream
 from repro.util.validation import check_positive_float, check_positive_int
 
@@ -57,13 +58,6 @@ class TimedArrival:
                 f"request must be a SpectralRequest, "
                 f"got {type(self.request).__name__}"
             )
-
-
-def _check_fraction(value, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value}")
-    return value
 
 
 def _rate_profile(duration, amplitude, flash_windows, flash_multiplier):
@@ -143,14 +137,9 @@ def timed_trace(
         raise ValidationError(
             f"tenant_skew must be a non-negative finite number, got {tenant_skew}"
         )
-    repeat_bias = _check_fraction(repeat_bias, "repeat_bias")
-    green_fraction = _check_fraction(green_fraction, "green_fraction")
-    ldos_fraction = _check_fraction(ldos_fraction, "ldos_fraction")
-    if green_fraction + ldos_fraction > 1.0:
-        raise ValidationError(
-            "green_fraction + ldos_fraction must not exceed 1, got "
-            f"{green_fraction + ldos_fraction}"
-        )
+    repeat_bias, green_fraction, ldos_fraction = _check_mix(
+        repeat_bias, green_fraction, ldos_fraction
+    )
     deadline_slack = check_positive_float(deadline_slack, "deadline_slack")
     no_deadline_fraction = _check_fraction(
         no_deadline_fraction, "no_deadline_fraction"
@@ -189,23 +178,15 @@ def timed_trace(
     arrivals.sort()
 
     pool = _workload_pool()
-    seen: list[tuple] = []
-    seen_names: set[str] = set()
+    seen: dict = {}
     out: list[TimedArrival] = []
     for index, at in enumerate(arrivals):
-        if seen and float(rng.random()) < repeat_bias:
-            name, hamiltonian, config = seen[int(rng.integers(0, len(seen)))]
-        else:
-            name, hamiltonian, config = pool[int(rng.integers(0, len(pool)))]
-            if name not in seen_names:
-                seen_names.add(name)
-                seen.append((name, hamiltonian, config))
+        workload = _draw_workload(rng, pool, seen, repeat_bias)
 
         draw = float(rng.random())
         tenant_index = 0
         while cumulative[tenant_index] < draw and tenant_index < tenants - 1:
             tenant_index += 1
-        tenant = f"tenant-{tenant_index}"
 
         deadline = None
         if float(rng.random()) >= no_deadline_fraction:
@@ -213,36 +194,15 @@ def timed_trace(
             deadline = at + slack
         priority = int(rng.integers(0, priority_levels))
 
-        kind_draw = float(rng.random())
-        if kind_draw < green_fraction:
-            request = GreenRequest(
-                hamiltonian,
-                energies=GREEN_ENERGIES,
-                config=config,
-                tag=f"{name}/green/{index}",
-                tenant=tenant,
-                deadline=deadline,
-                priority=priority,
-            )
-        elif kind_draw < green_fraction + ldos_fraction:
-            site = int(rng.integers(0, hamiltonian.shape[0]))
-            request = LDoSRequest(
-                hamiltonian,
-                site=site,
-                config=config,
-                tag=f"{name}/ldos{site}/{index}",
-                tenant=tenant,
-                deadline=deadline,
-                priority=priority,
-            )
-        else:
-            request = DoSRequest(
-                hamiltonian,
-                config=config,
-                tag=f"{name}/dos/{index}",
-                tenant=tenant,
-                deadline=deadline,
-                priority=priority,
-            )
+        request = _draw_request(
+            rng,
+            index,
+            workload,
+            green_fraction,
+            ldos_fraction,
+            tenant=f"tenant-{tenant_index}",
+            deadline=deadline,
+            priority=priority,
+        )
         out.append(TimedArrival(at=at, request=request))
     return out

@@ -50,9 +50,6 @@ class TestShippedKernelsProve:
                 [
                     "kpm_recursion",
                     "reduce_moments",
-                    "spmv_csr_scalar",
-                    "spmv_csr_vector",
-                    "spmv_ell",
                 ],
             ),
             (CONDUCTIVITY_PY, ["kpm_conductivity", "reduce_conductivity"]),
@@ -152,7 +149,7 @@ class TestCertificate:
         assert certificate["schema"] == CERTIFICATE_SCHEMA
         assert certificate["fingerprint"].startswith("sha256:")
         kernels = certificate["kernels"]
-        assert len(kernels) == 7
+        assert len(kernels) == 4
         assert all(entry["status"] == "proven" for entry in kernels)
         recursion = next(
             entry for entry in kernels if entry["kernel"] == "kpm_recursion"

@@ -12,10 +12,11 @@ import pytest
 
 from repro.bench.runner import baseline_record
 from repro.obs import RunRecord, compare_records, load_run_record
-from repro.obs.workloads import serve_prefix_run, smoke_run
+from repro.obs.workloads import gateway_run, serve_prefix_run, smoke_run
 
 BASELINE_PATH = Path(__file__).resolve().parents[2] / "BENCH_PR4.json"
 PREFIX_BASELINE_PATH = Path(__file__).resolve().parents[2] / "BENCH_PR7.json"
+GATEWAY_BASELINE_PATH = Path(__file__).resolve().parents[2] / "BENCH_PR8.json"
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,25 @@ class TestPrefixCacheBaseline:
         assert "serve_prefix.cache_hit_rate" in {
             delta.label for delta in result.failures
         }
+
+
+class TestGatewayBaseline:
+    """BENCH_PR8.json: the gateway-vs-FIFO record, pinned exactly.
+
+    The CI gate compares this record within bands; the fingerprint pins
+    every gateway span and counter, since the replay is deterministic.
+    """
+
+    @pytest.fixture(scope="class")
+    def gateway_baseline(self):
+        return load_run_record(GATEWAY_BASELINE_PATH)
+
+    def test_baseline_file_is_canonical(self, gateway_baseline):
+        text = GATEWAY_BASELINE_PATH.read_text(encoding="ascii")
+        assert text == gateway_baseline.to_json() + "\n"
+
+    def test_recorded_fingerprint_matches_committed(self, gateway_baseline):
+        assert gateway_run().fingerprint() == gateway_baseline.fingerprint()
 
 
 class TestNegativeGate:

@@ -11,17 +11,22 @@ is exactly why the service must never substitute one engine's moments
 for another's request.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.kpm import KPMConfig, compute_dos, local_dos
+from repro.kpm.green import greens_function
 from repro.lattice import chain, square, tight_binding_hamiltonian
 from repro.serve import (
     DoSRequest,
+    GreenRequest,
     LDoSRequest,
     SpectralService,
     TenantPolicy,
     check_equivalence,
+    synthetic_trace,
     timed_trace,
 )
 
@@ -279,3 +284,102 @@ class TestServeDeterminism:
             ]
 
         assert run() == run()
+
+
+class TestRefinedServing:
+    """``flush_refined`` property: every tier is one growth step plus one
+    answer.  After a low-order flush of a random synthetic trace, each
+    streamed tier and each final response is served at the smaller of
+    its request's ``N`` and its tier's order, bit-identical to a one-shot
+    ``compute_dos`` / ``local_dos`` / ``greens_function`` at that order on
+    the same backend; a batch's tier orders rise strictly and end at the
+    batch's target unless an early stop is counted."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        num_requests=st.integers(1, 8),
+        backend=st.sampled_from(["numpy", "gpu-sim"]),
+        low=st.integers(2, 16),
+        growth=st.floats(1.0, 4.0, exclude_min=True),
+        tolerance=st.sampled_from([None, 0.02, 0.1, 0.3]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_tiers_match_one_shot_runs_at_their_order(
+        self, seed, num_requests, backend, low, growth, tolerance
+    ):
+        trace = synthetic_trace(
+            num_requests, seed=seed, green_fraction=0.3, ldos_fraction=0.3
+        )
+        service = SpectralService(backends=(backend,))
+        service.serve(
+            [
+                dataclasses.replace(
+                    request, config=request.config.with_updates(num_moments=low)
+                )
+                for request in trace
+            ]
+        )
+        tiers = []
+        for request in trace:
+            service.submit(request)
+        finals = service.flush_refined(
+            growth=growth, tolerance=tolerance, on_tier=tiers.append
+        )
+        assert [r.tag for r in finals] == [r.tag for r in trace]
+        assert all(r.final for r in finals)
+
+        by_batch: dict[int, list] = {}
+        for tier in tiers:
+            assert all(not r.final for r in tier)
+            by_batch.setdefault(tier[0].batch_id, []).append(tier)
+        finals_by_batch: dict[int, list] = {}
+        for request, response in zip(trace, finals):
+            finals_by_batch.setdefault(response.batch_id, []).append(
+                (request, response)
+            )
+
+        references: dict = {}
+        early_stops = 0
+        for batch_id, members in finals_by_batch.items():
+            requests = [request for request, _ in members]
+            target = max(r.config.num_moments for r in requests)
+            streamed = by_batch.get(batch_id, [])
+            answered = [*streamed, [response for _, response in members]]
+            orders = [max(r.num_moments_served for r in tier) for tier in answered]
+            assert orders == sorted(set(orders)), orders
+            assert [tier[0].tier for tier in answered] == list(range(len(answered)))
+            if orders[-1] < target:
+                early_stops += 1
+            for tier, order in zip(answered, orders):
+                assert len(tier) == len(requests)
+                for request, response in zip(requests, tier):
+                    n = min(request.config.num_moments, order)
+                    assert response.num_moments_served == n
+                    energies, values = _one_shot(
+                        references, request, n, backend
+                    )
+                    assert np.array_equal(response.values, values)
+                    assert np.array_equal(response.energies, energies)
+        assert service.metrics().early_stops == early_stops
+        if tolerance is None:
+            assert early_stops == 0
+
+
+def _one_shot(references: dict, request, num_moments: int, backend: str):
+    """``(energies, values)`` of a fresh direct call at ``num_moments``."""
+    config = request.config.with_updates(num_moments=num_moments)
+    site = getattr(request, "site", None)
+    key = (id(request.hamiltonian), config, site, backend)
+    if site is not None:
+        if key not in references:
+            references[key] = local_dos(request.hamiltonian, site, config)
+        return references[key]
+    if key not in references:
+        references[key] = compute_dos(request.hamiltonian, config, backend=backend)
+    direct = references[key]
+    if isinstance(request, GreenRequest):
+        energies = np.asarray(request.energies, dtype=np.float64)
+        return energies, greens_function(
+            direct.moments, direct.rescaling, energies, kernel=request.kernel
+        )
+    return direct.energies, direct.density

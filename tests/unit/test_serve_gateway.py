@@ -94,6 +94,42 @@ class TestCancel:
         assert gw.cancel(999) is None
 
 
+class PickyEngine:
+    """Prices like gpu-sim, but every run fails on the request's side."""
+
+    name = "picky"
+
+    def __init__(self):
+        from repro.gpukpm import GpuKPM
+
+        self.priced = GpuKPM()
+
+    def estimate_modeled_seconds(self, scaled_operator, config):
+        return self.priced.estimate_modeled_seconds(scaled_operator, config)
+
+    def compute_moments(self, scaled_operator, config):
+        raise ValidationError("picky engine refuses this request")
+
+
+class TestBatchErrors:
+    def test_request_error_rejects_batch_and_refunds(self):
+        gw = gateway(template=(PickyEngine(),))
+        gw.offer(DoSRequest(H, CONFIG, tenant="acme"))
+        gw.offer(DoSRequest(H, CONFIG, tenant="acme"))
+        assert gw.admission.consumed("acme") > 0.0
+        responses = list(gw.pump().values())
+        assert [r.outcome for r in responses] == ["rejected", "rejected"]
+        assert all(
+            r.reason == "error: picky engine refuses this request"
+            for r in responses
+        )
+        assert gw.admission.consumed("acme") == 0.0
+        metrics = gw.gateway_metrics()
+        assert (metrics.rejected, metrics.served, metrics.admitted) == (2, 0, 2)
+        assert metrics.p99_latency_seconds == 0.0  # rejections are not answers
+        assert gw.metrics().engine_failures == 0  # the request's fault
+
+
 class TestDegradation:
     def warm(self, gw, num_moments=16):
         gw.offer(DoSRequest(H, CONFIG.with_updates(num_moments=num_moments)))
@@ -190,6 +226,26 @@ class TestRunTrace:
             return digest, gw.gateway_metrics().summary()
 
         assert run() == run()
+
+    def test_invalid_arrival_is_rejected_and_replay_goes_on(self):
+        asymmetric = np.array([[0.0, 1.0], [2.0, 0.0]])
+        arrivals = [
+            TimedArrival(at=0.1, request=DoSRequest(H, CONFIG)),
+            TimedArrival(at=0.2, request=DoSRequest(asymmetric, CONFIG)),
+            TimedArrival(at=0.3, request=DoSRequest(H, CONFIG, tag="third")),
+        ]
+        gw = gateway(template=("numpy",))
+        first, bad, third = gw.run_trace(arrivals)
+        assert first.outcome == "served" and third.outcome == "served"
+        assert third.tag == "third"
+        assert bad.outcome == "rejected" and bad.values is None
+        assert bad.reason.startswith("invalid: ")
+        assert "symmetric" in bad.reason
+        assert gw.scheduler.depth == 0
+        metrics = gw.gateway_metrics()
+        assert (metrics.offered, metrics.rejected, metrics.served) == (3, 1, 2)
+        direct = compute_dos(H, CONFIG, backend="numpy")
+        assert np.array_equal(third.values, direct.density)
 
     def test_validation(self):
         gw = gateway()

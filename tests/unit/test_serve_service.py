@@ -207,6 +207,34 @@ class TestValidation:
                 LDoSRequest(chain_csr, site=64, config=small_config)
             )
 
+    def test_batch_request_error_rejects_only_that_batch(self):
+        # The 4-device cluster cannot split R=2 vectors: the middle batch
+        # fails on its own request while the others are served.
+        configs = [
+            (chain(32), KPMConfig(num_moments=16, num_random_vectors=8, seed=1)),
+            (chain(40), KPMConfig(num_moments=16, num_random_vectors=2, seed=1)),
+            (chain(40), KPMConfig(num_moments=16, num_random_vectors=8, seed=1)),
+        ]
+        service = SpectralService(("cluster",))
+        for lattice, config in configs:
+            service.submit(DoSRequest(tight_binding_hamiltonian(lattice), config))
+        first, bad, third = service.flush()
+        assert bad.outcome == "rejected" and bad.values is None
+        assert bad.reason == (
+            "error: num_devices (4) exceeds the number of random vectors (2)"
+        )
+        for response, (lattice, config) in ((first, configs[0]), (third, configs[2])):
+            assert response.outcome == "served"
+            direct = compute_dos(
+                tight_binding_hamiltonian(lattice), config, backend="cluster"
+            )
+            assert np.array_equal(response.values, direct.density)
+        assert service.scheduler.depth == 0
+        assert service.flush() == []
+        metrics = service.metrics()
+        assert metrics.responses_total == 3
+        assert metrics.engine_failures == 0
+
     def test_request_error_does_not_penalize_engine(self, chain_csr, small_config):
         service = SpectralService(backends=("numpy",))
         with pytest.raises(ValidationError):
@@ -348,6 +376,20 @@ class TestRefinement:
         assert response.source == "computed"
         assert response.final and response.tier == 0
         direct = compute_dos(chain_csr, small_config, backend="gpu-sim")
+        assert np.array_equal(response.values, direct.density)
+
+    def test_huge_finite_growth_jumps_to_the_target(self):
+        h = tight_binding_hamiltonian(chain(32))
+        config = KPMConfig(num_moments=16, num_random_vectors=4, seed=5)
+        service = SpectralService()
+        service.serve([DoSRequest(h, config)])
+        high = config.with_updates(num_moments=64)
+        service.submit(DoSRequest(h, high))
+        [response] = service.flush_refined(growth=1e308)
+        assert service.scheduler.depth == 0
+        assert response.final and response.tier == 1
+        assert response.num_moments_served == 64
+        direct = compute_dos(h, high, backend="numpy")
         assert np.array_equal(response.values, direct.density)
 
     def test_flush_refined_validation(self):

@@ -64,6 +64,14 @@ class TestServeSimCli:
         assert code == 0
         assert "gpu-sim, numpy" in capsys.readouterr().out
 
+    def test_gateway_arm_replays_timed_trace(self, capsys):
+        code = main([
+            "serve-sim", "--trace", "gateway", "-n", "40", "--tenants", "2",
+            "--backends", "gpu-sim",
+        ])
+        assert code == 0
+        assert "replayed 40 timed requests" in capsys.readouterr().out
+
     def test_bad_backend_is_reported(self, capsys):
         code = main(["serve-sim", "-n", "5", "--backends", "warp-drive"])
         assert code == 2
