@@ -13,8 +13,8 @@ a contract ``MatrixSpec`` or annotated ``DeviceMatrix``) taint the
 buffers unpacked from them (``.csr`` / ``.ell`` / ``.dense`` / ``.data``
 / subscripts / ``np.asarray``), and a dot-family operation on tainted
 storage is a finding.  Elementwise arithmetic (``*``, ``+=``) on
-gathered slots — the canonical slot sweep itself — is untouched, and
-``matvec`` results are clean host vectors.
+tainted storage is untouched, the ``*_sweep_*`` helpers may consume it,
+and ``matvec`` results are clean host vectors.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ class CanonicalSweepRule(Rule):
         "replayable.  RA018 taints matrix parameters (contract "
         "MatrixSpec or DeviceMatrix annotation) through .csr/.ell/.dense "
         "unpacks, .data views, subscripts, and np.asarray, and flags "
-        "dot-family operations on tainted operands.  The canonical slot "
-        "sweep itself — elementwise gather/multiply/accumulate loops — "
-        "and matvec calls are allowed; matvec results are clean."
+        "dot-family operations on tainted operands.  Elementwise "
+        "arithmetic, the *_sweep_* helpers of repro.sparse.sweep and "
+        "matvec calls are allowed; matvec results are clean."
     )
 
     def check(

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 from repro.errors import DeviceError, ReproError, ValidationError
 from repro.serve.admission import AdmissionController, TenantPolicy
@@ -241,7 +242,7 @@ class Gateway(SpectralService):
         seq = self._take_seq()
         self._rejected += 1
         response = SpectralResponse.unserved(
-            request, outcome="rejected", reason=reason
+            request, outcome="rejected", reason=reason, source="gateway"
         )
         self._terminal[seq] = response
         return seq, response
@@ -260,10 +261,45 @@ class Gateway(SpectralService):
         self.admission.refund(removed.request.tenant, self._pending.pop(seq))
         self._cancelled += 1
         response = SpectralResponse.unserved(
-            removed.request, outcome="cancelled", reason="cancelled before dispatch"
+            removed.request,
+            outcome="cancelled",
+            reason="cancelled before dispatch",
+            source="gateway",
         )
         self._terminal[seq] = response
         return response
+
+    # ------------------------------------------------------------------
+    # Service entry points a gateway refuses
+    # ------------------------------------------------------------------
+    # The inherited submit/flush paths would skip pricing, admission and
+    # the gateway's counters: a request could be served unpriced, or
+    # served without ``_pending`` ever releasing its admitted cost.
+    def _refuse(self, name: str) -> NoReturn:
+        raise ValidationError(
+            f"Gateway.{name}() bypasses admission; use offer() and pump(), "
+            "or run_trace()"
+        )
+
+    def submit(self, request) -> NoReturn:
+        """Refused: queue work through :meth:`offer`."""
+        self._refuse("submit")
+
+    def serve(self, requests) -> NoReturn:
+        """Refused: use :meth:`offer` and :meth:`pump`, or :meth:`run_trace`."""
+        self._refuse("serve")
+
+    def serve_refined(self, requests, **kwargs) -> NoReturn:
+        """Refused: use :meth:`offer` and :meth:`pump`, or :meth:`run_trace`."""
+        self._refuse("serve_refined")
+
+    def flush(self) -> NoReturn:
+        """Refused: drain the queue with :meth:`pump`."""
+        self._refuse("flush")
+
+    def flush_refined(self, **kwargs) -> NoReturn:
+        """Refused: drain the queue with :meth:`pump`."""
+        self._refuse("flush_refined")
 
     # ------------------------------------------------------------------
     # Pricing

@@ -301,6 +301,10 @@ class SpectralResponse:
         ``"extended"`` (the cached entry was resumed to a higher order
         for this batch), or ``"forwarded"`` (served from a sibling
         batch's entry within the same flush when the cache is disabled).
+        A valueless response names who answered it: ``"gateway"``
+        (refused at admission, cancelled, or invalid on arrival) or
+        ``"service"`` (rejected because producing its batch's moments
+        raised a request-side error).
     engine:
         Name of the engine that produced the moments (``"host"`` for
         LDoS).
@@ -383,13 +387,15 @@ class SpectralResponse:
         *,
         outcome: str,
         reason: str,
+        source: str,
         batch_id: int = -1,
     ) -> "SpectralResponse":
         """A valueless terminal response (``rejected`` / ``cancelled``).
 
         Echoes the request's identity fields; ``energies`` / ``values`` /
         ``moments`` / ``rescaling`` are ``None`` and ``batch_id`` is
-        ``-1`` unless the caller attributes it to a batch.
+        ``-1`` unless the caller attributes it to a batch.  ``source``
+        is ``"gateway"`` or ``"service"``, whichever answered it.
         """
         if not isinstance(request, SpectralRequest):
             raise ValidationError(
@@ -399,6 +405,10 @@ class SpectralResponse:
             raise ValidationError(
                 f"unserved outcome must be 'rejected' or 'cancelled', got {outcome!r}"
             )
+        if source not in ("gateway", "service"):
+            raise ValidationError(
+                f"unserved source must be 'gateway' or 'service', got {source!r}"
+            )
         return cls(
             kind=request.kind,
             tag=request.tag,
@@ -407,7 +417,7 @@ class SpectralResponse:
             moments=None,
             rescaling=None,
             config=request.config,
-            source="gateway",
+            source=source,
             engine="",
             batch_id=batch_id,
             modeled_seconds=0.0,

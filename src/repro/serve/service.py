@@ -421,6 +421,7 @@ class SpectralService:
                         queued.request,
                         outcome="rejected",
                         reason=f"error: {exc}",
+                        source="service",
                         batch_id=batch.batch_id,
                     )
                     for queued in batch.entries

@@ -9,9 +9,10 @@ The SpMV (``matvec``) and blocked SpMM (``matmat``) run the *canonical
 contraction order* of :mod:`repro.sparse.sweep` — per row, a strict
 left-to-right accumulation over ascending stored columns — so CSR
 results are bit-identical to the dense and ELL operators holding the
-same matrix, and the autotuner may switch formats freely.  The slot
-schedule (:class:`repro.sparse.sweep.SweepPlan`) is built lazily on
-first use and cached on the instance.
+same matrix, and the autotuner may switch formats freely.  The
+validated row pointer the sweep runs on
+(:class:`repro.sparse.sweep.SweepPlan`) is built lazily on first use
+and cached on the instance.
 """
 
 from __future__ import annotations
@@ -246,10 +247,10 @@ class CSRMatrix:
     def matmat(self, block) -> np.ndarray:
         """Return ``A @ B`` for a ``(n_cols, k)`` block of vectors.
 
-        This is the blocked SpMM the batched KPM recursion uses: each of
-        the ``max_row_nnz`` slot passes is one vectorized
-        gather-multiply-accumulate over the block — memory traffic
-        proportional to ``nnz * k``, in the canonical contraction order.
+        This is the blocked SpMM the batched KPM recursion uses: one
+        compiled pass over the rows adds each stored entry times its
+        row of the block — memory traffic proportional to ``nnz * k``,
+        in the canonical contraction order.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.ndim != 2 or block.shape[0] != self.shape[1]:

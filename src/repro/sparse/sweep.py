@@ -12,8 +12,7 @@ evaluates ``y = A @ x`` in one canonical floating-point order:
 with the stored columns ``j1 < j2 < ...`` ascending (canonical CSR
 order) and a strict left-to-right accumulation.  ``np.add.reduceat``
 and BLAS ``gemv`` do **not** honor this order (both use
-implementation-defined blocking), which is why the sweeps below are
-written as explicit slot loops.
+implementation-defined blocking), so neither computes a sweep here.
 
 **Zero absorption.**  The dense sweep additionally adds the products of
 the *unstored* (exactly-zero) entries, and the ELL sweep adds the
@@ -25,27 +24,31 @@ addition absorbs them exactly: ``s + (+/-0.0) == s`` whenever
 Hence dense, CSR, and ELL sweeps over the same matrix are bit-identical
 for finite inputs — the property suite pins this.
 
-**Host cost.**  The sweeps iterate ``W = max_row_nnz`` slots (dense:
-``n_cols`` columns), one vectorized multiply-accumulate each, so the
-host cost is ``O(W)`` numpy calls on ``O(n_rows)`` operands.  A
-:class:`SweepPlan` classifies the CSR slots from ``indptr`` alone and
-runs each in one of two exact forms:
+**Host cost.**  A CSR or ELL sweep is one call into a compiled row
+loop, scipy's ``csr_matvec`` (``csr_matvecs`` for a block of columns),
+the routine behind scipy's own ``csr_array @ x``.  Per row it starts from
+the output's ``+0.0`` (allocated with ``np.zeros``) and adds
+``data[p] * x[indices[p]]`` over the stored entries left to right,
+which is the canonical order: the loop neither reorders the sum nor
+contracts a multiply and an add into one FMA.  A scipy build that did
+either would change bits, and the property suite, which checks every
+sweep against an independent per-row reference byte for byte, would
+fail.  ELL's row-major ``(rows, W)`` arrays enter the same loop as a
+uniform-width CSR with the padding included, so each padded slot still
+adds its ``0.0 * x[0]`` in place, even for a non-finite ``x[0]``.
 
-* *strided* — every row stores the same count ``W`` (periodic lattices
-  such as the paper's cube), so slot ``k`` is the views
-  ``data[k::W]`` / ``indices[k::W]`` and ``out += ...``: no position
-  gather, no row scatter;
-* *rows* — row lengths differ: only the rows longer than ``k`` take
-  part, ``out[rows] += ...`` over gathered positions.
-
-Each output element receives the same multiply-adds in the same order
-under both kinds, so the plan is a host-time choice only; it never
-changes a bit of the result.
+The compiled loop does no bounds checking.  A :class:`SweepPlan`
+therefore holds a validated row pointer, the sweeps refuse
+``data``/``indices`` of another length, and every column index must lie
+in ``[0, len(x))`` (one unsigned maximum over the index array) or the
+sweep raises :class:`~repro.errors.ValidationError`.  The dense sweep
+keeps one vectorized multiply-accumulate per column.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from repro.errors import ShapeError, ValidationError
 
@@ -62,53 +65,63 @@ __all__ = [
 
 
 class SweepPlan:
-    """Precomputed slot schedule of a CSR matrix's canonical sweep.
+    """A CSR row pointer validated for the compiled row loop.
 
-    Slot ``k`` covers the ``k``-th stored entry of every row that has at
-    least ``k + 1`` entries.  ``slots[k]`` is ``(rows, positions)``:
-    for a strided slot ``rows`` is ``None`` and ``positions`` a
-    ``slice`` of ``data`` / ``indices`` covering every row in order;
-    otherwise ``rows`` are the output rows and ``positions`` the
-    matching flat positions.  ``nnz`` is the stored-entry count the
-    plan was built for; the sweeps refuse arrays of any other length,
-    since a strided slice would silently clamp instead of failing.
-    Total memory is ``O(nnz)`` regardless of row skew, and nothing for
-    uniform rows.
+    ``indptr`` is a private read-only int64 copy of length
+    ``n_rows + 1``, non-decreasing from ``indptr[0] >= 0``, so every
+    row reads positions inside ``[0, nnz)`` with ``nnz = indptr[-1]``.
+    The sweeps refuse ``data``/``indices`` of any other length.
     """
 
-    __slots__ = ("n_rows", "nnz", "slots")
+    __slots__ = ("n_rows", "nnz", "indptr")
 
-    def __init__(
-        self,
-        n_rows: int,
-        nnz: int,
-        slots: list[tuple[np.ndarray | None, np.ndarray | slice]],
-    ):
-        self.n_rows = n_rows
-        self.nnz = nnz
-        self.slots = slots
+    def __init__(self, indptr: np.ndarray):
+        self.indptr = indptr
+        self.n_rows = indptr.shape[0] - 1
+        self.nnz = int(indptr[-1])
 
 
 def build_sweep_plan(indptr: np.ndarray, n_rows: int) -> SweepPlan:
-    """Build the slot schedule for a CSR row pointer (see module docstring)."""
-    indptr = np.asarray(indptr, dtype=np.int64)
-    if indptr.shape[0] != n_rows + 1:
+    """Validate a CSR row pointer for the sweeps (see module docstring)."""
+    indptr = np.array(indptr, dtype=np.int64)
+    if indptr.ndim != 1 or indptr.shape[0] != n_rows + 1:
         raise ShapeError(
-            f"indptr must have length n_rows+1={n_rows + 1}, got {indptr.shape[0]}"
+            f"indptr must have length n_rows+1={n_rows + 1}, got shape {indptr.shape}"
         )
-    row_lengths = np.diff(indptr)
-    width = int(row_lengths.max(initial=0))
-    uniform = bool(np.all(row_lengths == width))
-    first, nnz = int(indptr[0]), int(indptr[-1])
-    starts = indptr[:-1]
-    slots: list[tuple[np.ndarray | None, np.ndarray | slice]] = []
-    for k in range(width):
-        if uniform:
-            slots.append((None, slice(first + k, nnz, width)))
-        else:
-            rows = np.flatnonzero(row_lengths > k)
-            slots.append((rows, starts[rows] + k))
-    return SweepPlan(n_rows, nnz, slots)
+    if np.any(np.diff(indptr) < 0):
+        raise ValidationError("indptr must be non-decreasing")
+    if indptr[0] < 0:
+        raise ValidationError(f"indptr must lie in [0, nnz], got indptr[0]={indptr[0]}")
+    indptr.flags.writeable = False
+    return SweepPlan(indptr)
+
+
+def _row_loop(indptr, data, indices, operand) -> np.ndarray:
+    """Canonical ``A @ operand`` of CSR arrays in scipy's compiled row loop.
+
+    ``data`` and ``indices`` hold one entry per position of ``indptr``
+    (row-major for ELL).  The output starts at ``+0.0``; the loop adds
+    each row's products to it left to right.
+    """
+    dtype = np.result_type(data, operand)
+    data = np.asarray(data, dtype=dtype).reshape(-1)
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    operand = np.asarray(operand, dtype=dtype)
+    n_rows, n_cols = indptr.shape[0] - 1, operand.shape[0]
+    # Negative indices wrap to huge unsigned values: one max covers both ends.
+    if indices.size and indices.view(np.uint64).max() >= n_cols:
+        raise ValidationError("column index out of range")
+    if operand.ndim == 1:
+        out = np.zeros(n_rows, dtype=dtype)
+        _sparsetools.csr_matvec(n_rows, n_cols, indptr, indices, data, operand, out)
+        return out
+    if operand.ndim != 2:
+        raise ValidationError(f"block must be 2-D, got shape {operand.shape}")
+    out = np.zeros((n_rows, operand.shape[1]), dtype=dtype)
+    _sparsetools.csr_matvecs(
+        n_rows, n_cols, operand.shape[1], indptr, indices, data, operand, out
+    )
+    return out
 
 
 def _check_lengths(data, indices, plan: SweepPlan) -> None:
@@ -119,19 +132,18 @@ def _check_lengths(data, indices, plan: SweepPlan) -> None:
         )
 
 
+def _ell_indptr(shape: tuple[int, int]) -> np.ndarray:
+    """Row pointer of ``(rows, W)`` ELL storage read as a uniform-width CSR."""
+    rows, width = shape
+    return np.arange(rows + 1, dtype=np.int64) * width
+
+
 def csr_sweep_matvec(data, indices, plan: SweepPlan, x) -> np.ndarray:
     """Canonical ``A @ x`` over CSR storage (see module docstring)."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
     _check_lengths(data, indices, plan)
-    out = np.zeros(plan.n_rows, dtype=np.result_type(data, x))
-    for rows, positions in plan.slots:
-        term = data[positions] * x[indices[positions]]
-        if rows is None:
-            out += term
-        else:
-            out[rows] += term
-    return out
+    return _row_loop(plan.indptr, data, indices, x)
 
 
 def csr_sweep_matmat(data, indices, plan: SweepPlan, block) -> np.ndarray:
@@ -139,14 +151,7 @@ def csr_sweep_matmat(data, indices, plan: SweepPlan, block) -> np.ndarray:
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
     _check_lengths(data, indices, plan)
-    out = np.zeros((plan.n_rows, block.shape[1]), dtype=np.result_type(data, block))
-    for rows, positions in plan.slots:
-        term = data[positions, None] * block[indices[positions], :]
-        if rows is None:
-            out += term
-        else:
-            out[rows] += term
-    return out
+    return _row_loop(plan.indptr, data, indices, block)
 
 
 def ell_sweep_matvec(ell_data, ell_indices, x) -> np.ndarray:
@@ -155,10 +160,7 @@ def ell_sweep_matvec(ell_data, ell_indices, x) -> np.ndarray:
         raise ShapeError(
             f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
         )
-    out = np.zeros(ell_data.shape[0], dtype=np.result_type(ell_data, x))
-    for k in range(ell_data.shape[1]):
-        out += ell_data[:, k] * x[ell_indices[:, k]]
-    return out
+    return _row_loop(_ell_indptr(ell_data.shape), ell_data, ell_indices, x)
 
 
 def ell_sweep_matmat(ell_data, ell_indices, block) -> np.ndarray:
@@ -167,13 +169,7 @@ def ell_sweep_matmat(ell_data, ell_indices, block) -> np.ndarray:
         raise ShapeError(
             f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
         )
-    out = np.zeros(
-        (ell_data.shape[0], block.shape[1]), dtype=np.result_type(ell_data, block)
-    )
-    for k in range(ell_data.shape[1]):
-        out += ell_data[:, k, None] * block[ell_indices[:, k], :]
-    return out
-
+    return _row_loop(_ell_indptr(ell_data.shape), ell_data, ell_indices, block)
 
 def dense_sweep_matvec(array, x) -> np.ndarray:
     """Canonical ``A @ x`` over dense storage (every column, ascending)."""

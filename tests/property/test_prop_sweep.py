@@ -1,13 +1,16 @@
-"""Bit-identity of the CSR sweep against an independent reference.
+"""Bit-identity of the CSR and ELL sweeps against an independent reference.
 
 The format bit-identity suites compare dense, CSR and ELL sweeps with
 each other, so a bug in the shared canonical order would pass them all.
 Here the reference is a plain per-row loop written in this file: for
 each row, start from ``+0.0`` and add ``data[p] * x[indices[p]]`` over
 the stored entries left to right.  It never touches
-:class:`repro.sparse.sweep.SweepPlan`, so it checks both slot kinds
-(strided, row subset) from outside.  Results are compared byte
-for byte, which also pins the sign of zero.
+:mod:`repro.sparse.sweep`, so it checks the compiled row loop from
+outside: a build that reordered the sum or fused a multiply-add would
+fail here.  Results are compared byte for byte, which also pins the
+sign of zero.  The ELL reference walks every padded slot, so a
+non-finite ``x[0]`` shows whether the padding terms are still added;
+the single-precision cases pin the device's float32 path.
 
 The second half checks :meth:`CSRMatrix.is_symmetric` with a tolerance
 against the dense formula ``max|A - A.T| <= tolerance``.
@@ -18,7 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse import CSRMatrix
-from repro.sparse.sweep import build_sweep_plan, csr_sweep_matmat, csr_sweep_matvec
+from repro.sparse.sweep import (
+    build_sweep_plan,
+    csr_sweep_matmat,
+    csr_sweep_matvec,
+    ell_sweep_matmat,
+    ell_sweep_matvec,
+)
 
 TINY = np.finfo(np.float64).tiny  # smallest normal double
 
@@ -65,20 +74,38 @@ def canonical_csr(draw, max_dim=12):
     return CSRMatrix(indptr, indices, data, (n_rows, n_cols))
 
 
-def reference_matvec(csr, x):
-    """Per-row left-to-right accumulation from +0.0 (no SweepPlan)."""
-    out = np.empty(csr.shape[0], dtype=np.float64)
+def reference_matvec(csr, x, data=None):
+    """Per-row left-to-right accumulation from +0.0 (no sweep code).
+
+    ``data`` replaces the stored values, e.g. by a float32 copy; the
+    accumulator takes the promoted dtype of the values and ``x``.
+    """
+    data = csr.data if data is None else data
+    zero = np.result_type(data, x).type(0.0)
+    out = np.empty(csr.shape[0], dtype=zero.dtype)
     for row in range(csr.shape[0]):
-        acc = np.float64(0.0)
+        acc = zero
         for p in range(csr.indptr[row], csr.indptr[row + 1]):
-            acc = acc + csr.data[p] * x[csr.indices[p]]
+            acc = acc + data[p] * x[csr.indices[p]]
         out[row] = acc
     return out
 
 
-def reference_matmat(csr, block):
-    columns = [reference_matvec(csr, block[:, j]) for j in range(block.shape[1])]
+def reference_matmat(csr, block, data=None):
+    columns = [reference_matvec(csr, block[:, j], data) for j in range(block.shape[1])]
     return np.stack(columns, axis=1)
+
+
+def reference_ell_matvec(ell_data, ell_indices, x):
+    """Per-row walk over every ELL slot, padded slots included."""
+    out = np.empty(ell_data.shape[0], dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # 0.0 * inf is NaN on purpose
+        for row in range(ell_data.shape[0]):
+            acc = np.float64(0.0)
+            for slot in range(ell_data.shape[1]):
+                acc = acc + ell_data[row, slot] * x[ell_indices[row, slot]]
+            out[row] = acc
+    return out
 
 
 def vectors(length, count=None):
@@ -89,11 +116,32 @@ def vectors(length, count=None):
     )
 
 
-def sweep(csr, operand):
+def sweep(csr, operand, data=None):
+    data = csr.data if data is None else data
     plan = build_sweep_plan(csr.indptr, csr.shape[0])
     if operand.ndim == 1:
-        return csr_sweep_matvec(csr.data, csr.indices, plan, operand)
-    return csr_sweep_matmat(csr.data, csr.indices, plan, operand)
+        return csr_sweep_matvec(data, csr.indices, plan, operand)
+    return csr_sweep_matmat(data, csr.indices, plan, operand)
+
+
+#: A first entry that is non-finite: 0.0 * x[0] is NaN, so every padded
+#: ELL slot shows in the result.
+non_finite = st.sampled_from([np.inf, -np.inf, np.nan])
+
+#: float32 values: signed zeros, subnormals, and magnitudes up to 2**50,
+#: so products (below 2**100) and row sums stay finite.
+values32 = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.0, -1.0]),
+    st.floats(-(2.0**50), 2.0**50, width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+def vectors32(length, count=None):
+    shape = (length,) if count is None else (length, count)
+    size = length if count is None else length * count
+    return st.lists(values32, min_size=size, max_size=size).map(
+        lambda items: np.array(items, dtype=np.float32).reshape(shape)
+    )
 
 
 class TestSweepMatchesReference:
@@ -126,6 +174,67 @@ class TestSweepMatchesReference:
         block = np.stack([x, -x, np.full_like(x, -0.0)], axis=1)
         assert sweep(csr, x).tobytes() == reference_matvec(csr, x).tobytes()
         assert sweep(csr, block).tobytes() == reference_matmat(csr, block).tobytes()
+
+
+class TestEllMatchesReference:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matvec_walks_every_padded_slot(self, data):
+        ell = data.draw(canonical_csr()).to_ell()
+        x = data.draw(vectors(ell.shape[1]))
+        if data.draw(st.booleans()):
+            x[0] = data.draw(non_finite)
+        expected = reference_ell_matvec(ell.data, ell.indices, x)
+        assert ell_sweep_matvec(ell.data, ell.indices, x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matmat_walks_every_padded_slot(self, k, data):
+        ell = data.draw(canonical_csr()).to_ell()
+        block = data.draw(vectors(ell.shape[1], k))
+        block[0, :] = data.draw(non_finite)
+        expected = np.stack(
+            [reference_ell_matvec(ell.data, ell.indices, block[:, j]) for j in range(k)],
+            axis=1,
+        )
+        assert ell_sweep_matmat(ell.data, ell.indices, block).tobytes() == expected.tobytes()
+
+
+class TestSinglePrecision:
+    """The device's float32 storage, with float32 and float64 operands."""
+
+    @pytest.mark.parametrize("k", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_float32_data_and_operand(self, k, data):
+        csr = data.draw(canonical_csr())
+        values = data.draw(vectors32(csr.nnz_stored))
+        operand = data.draw(vectors32(csr.shape[1], k))
+        result = sweep(csr, operand, values)
+        assert result.dtype == np.float32
+        expected = (
+            reference_matvec(csr, operand, values)
+            if k is None
+            else reference_matmat(csr, operand, values)
+        )
+        assert result.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_float32_data_float64_operand(self, k, data):
+        csr = data.draw(canonical_csr())
+        values = data.draw(vectors32(csr.nnz_stored))
+        operand = data.draw(vectors(csr.shape[1], k))
+        result = sweep(csr, operand, values)
+        assert result.dtype == np.float64
+        expected = (
+            reference_matvec(csr, operand, values)
+            if k is None
+            else reference_matmat(csr, operand, values)
+        )
+        assert result.tobytes() == expected.tobytes()
 
 
 def dense_verdict(csr, tolerance):

@@ -94,6 +94,61 @@ class TestCancel:
         assert gw.cancel(999) is None
 
 
+class TestInheritedEntryPoints:
+    """The service's submit/flush paths would skip admission and accounting."""
+
+    REFUSED = "bypasses admission; use offer\\(\\) and pump\\(\\), or run_trace\\(\\)"
+
+    def offered(self):
+        gw = gateway(template=("numpy",))
+        _, response = gw.offer(DoSRequest(H, CONFIG))
+        assert response is None
+        return gw
+
+    def assert_untouched(self, gw, depth):
+        assert gw.scheduler.depth == depth
+        metrics = gw.gateway_metrics()
+        assert (metrics.offered, metrics.served) == (depth, 0)
+
+    def assert_pump_still_accounts(self, gw):
+        [response] = gw.pump().values()
+        assert response.outcome == "served"
+        assert gw.gateway_metrics().served == 1
+        assert gw._pending == {}
+
+    def test_submit_refused(self):
+        gw = gateway(template=("numpy",))
+        with pytest.raises(ValidationError, match="Gateway.submit"):
+            gw.submit(DoSRequest(H, CONFIG))
+        self.assert_untouched(gw, 0)
+
+    def test_serve_refused(self):
+        gw = gateway(template=("numpy",))
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            gw.serve([DoSRequest(H, CONFIG)])
+        self.assert_untouched(gw, 0)
+
+    def test_serve_refined_refused(self):
+        gw = gateway(template=("numpy",))
+        with pytest.raises(ValidationError, match="Gateway.serve_refined"):
+            gw.serve_refined([DoSRequest(H, CONFIG)], growth=2.0)
+        self.assert_untouched(gw, 0)
+
+    def test_flush_refused(self):
+        gw = self.offered()
+        with pytest.raises(ValidationError, match="Gateway.flush"):
+            gw.flush()
+        self.assert_untouched(gw, 1)
+        self.assert_pump_still_accounts(gw)
+
+    def test_flush_refined_refused(self):
+        gw = self.offered()
+        with pytest.raises(ValidationError, match="Gateway.flush_refined"):
+            gw.flush_refined(growth=2.0)
+        self.assert_untouched(gw, 1)
+        self.assert_pump_still_accounts(gw)
+
+
 class PickyEngine:
     """Prices like gpu-sim, but every run fails on the request's side."""
 
@@ -128,6 +183,20 @@ class TestBatchErrors:
         assert (metrics.rejected, metrics.served, metrics.admitted) == (2, 0, 2)
         assert metrics.p99_latency_seconds == 0.0  # rejections are not answers
         assert gw.metrics().engine_failures == 0  # the request's fault
+
+    def test_error_rejection_names_the_service(self):
+        gw = gateway(template=(PickyEngine(),))
+        gw.offer(DoSRequest(H, CONFIG))
+        [response] = gw.pump().values()
+        assert (response.outcome, response.source) == ("rejected", "service")
+
+    def test_gateway_terminals_name_the_gateway(self):
+        gw = gateway(default_policy=TenantPolicy(rate=1e-9, burst=1e-9))
+        _, denied = gw.offer(DoSRequest(H, CONFIG))
+        assert denied.source == "gateway"
+        gw = gateway()
+        seq, _ = gw.offer(DoSRequest(H, CONFIG))
+        assert gw.cancel(seq).source == "gateway"
 
 
 class TestDegradation:

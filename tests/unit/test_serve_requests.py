@@ -103,7 +103,7 @@ class TestResponseOutcomes:
     def test_unserved_echoes_request_identity(self):
         request = DoSRequest(H, tag="t0", tenant="acme", deadline=3.0)
         response = SpectralResponse.unserved(
-            request, outcome="rejected", reason="admission:rate"
+            request, outcome="rejected", reason="admission:rate", source="gateway"
         )
         assert response.outcome == "rejected"
         assert response.reason == "admission:rate"
@@ -119,14 +119,14 @@ class TestResponseOutcomes:
         request = DoSRequest(H)
         for outcome in ("served", "degraded"):
             with pytest.raises(ValidationError):
-                SpectralResponse.unserved(request, outcome=outcome, reason="")
+                SpectralResponse.unserved(request, outcome=outcome, reason="", source="gateway")
         with pytest.raises(ValidationError):
-            SpectralResponse.unserved("not-a-request", outcome="rejected", reason="")
+            SpectralResponse.unserved("not-a-request", outcome="rejected", reason="", source="gateway")
 
     def test_answered_property(self):
         request = DoSRequest(H)
         cancelled = SpectralResponse.unserved(
-            request, outcome="cancelled", reason="withdrawn"
+            request, outcome="cancelled", reason="withdrawn", source="gateway"
         )
         assert not cancelled.answered
         served = SpectralResponse(

@@ -235,6 +235,16 @@ class TestValidation:
         assert metrics.responses_total == 3
         assert metrics.engine_failures == 0
 
+    def test_batch_error_rejection_names_the_service(self):
+        # The 4-device cluster cannot split R=2 vectors; no gateway is
+        # involved, so the rejection must not claim to come from one.
+        service = SpectralService(("cluster",))
+        config = KPMConfig(num_moments=16, num_random_vectors=2, seed=1)
+        service.submit(DoSRequest(tight_binding_hamiltonian(chain(40)), config))
+        [response] = service.flush()
+        assert response.outcome == "rejected"
+        assert response.source == "service"
+
     def test_request_error_does_not_penalize_engine(self, chain_csr, small_config):
         service = SpectralService(backends=("numpy",))
         with pytest.raises(ValidationError):

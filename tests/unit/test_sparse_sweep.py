@@ -1,66 +1,23 @@
-"""Unit tests for the slot plan of repro.sparse.sweep."""
+"""Unit tests for the guards of repro.sparse.sweep's compiled row loop.
+
+The loop does no bounds checking of its own, so every index it would
+follow is checked before it runs: the row pointer when its plan is
+built, the data/indices lengths against the plan, and every column
+index against the operand.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError, ValidationError
-from repro.lattice import cubic, paper_cubic_hamiltonian, tight_binding_hamiltonian
 from repro.sparse import CSRMatrix
-from repro.sparse.sweep import build_sweep_plan, csr_sweep_matmat, csr_sweep_matvec
-
-
-def slot_kinds(plan):
-    """Name each slot by the form the sweep runs it in."""
-    kinds = []
-    for rows, positions in plan.slots:
-        if isinstance(positions, slice):
-            assert rows is None
-            kinds.append("strided")
-        else:
-            kinds.append("rows")
-    return kinds
-
-
-class TestSlotClassification:
-    def test_uniform_rows_are_all_strided(self):
-        plan = build_sweep_plan(np.arange(0, 13, 3), 4)
-        assert slot_kinds(plan) == ["strided"] * 3
-        assert [pos for _, pos in plan.slots] == [
-            slice(0, 12, 3),
-            slice(1, 12, 3),
-            slice(2, 12, 3),
-        ]
-
-    def test_paper_cube_is_strided(self):
-        hamiltonian = paper_cubic_hamiltonian(4, format="csr").scale_shift(0.2, 0.1)
-        assert slot_kinds(hamiltonian.sweep_plan) == ["strided"] * 7
-
-    def test_ragged_rows_are_row_subsets(self):
-        # Row lengths 2, 4, 3: slots 0-1 cover every row, 2-3 the tail.
-        plan = build_sweep_plan([0, 2, 6, 9], 3)
-        assert plan.nnz == 9
-        assert slot_kinds(plan) == ["rows"] * 4
-        rows, positions = plan.slots[1]
-        np.testing.assert_array_equal(rows, [0, 1, 2])
-        np.testing.assert_array_equal(positions, [1, 3, 7])
-        rows, positions = plan.slots[2]
-        np.testing.assert_array_equal(rows, [1, 2])
-        np.testing.assert_array_equal(positions, [4, 8])
-        rows, positions = plan.slots[3]
-        np.testing.assert_array_equal(rows, [1])
-        np.testing.assert_array_equal(positions, [5])
-
-    def test_empty_row_makes_every_slot_a_subset(self):
-        plan = build_sweep_plan([0, 2, 2, 3], 3)
-        assert slot_kinds(plan) == ["rows", "rows"]
-
-    def test_no_entries_no_slots(self):
-        plan = build_sweep_plan([0, 0, 0], 2)
-        assert plan.slots == [] and plan.nnz == 0
-
-    def test_open_chain_is_ragged(self):
-        chain = tight_binding_hamiltonian(cubic(3, periodic=False), format="csr")
-        assert "rows" in slot_kinds(chain.sweep_plan)
+from repro.sparse.sweep import (
+    build_sweep_plan,
+    csr_sweep_matmat,
+    csr_sweep_matvec,
+    ell_sweep_matmat,
+    ell_sweep_matvec,
+)
 
 
 class TestPlanGuard:
@@ -82,3 +39,66 @@ class TestPlanGuard:
         csr = CSRMatrix.from_dense(np.eye(3))
         with pytest.raises(ValidationError):
             csr_sweep_matvec(csr.data, csr.indices, csr.indptr, np.ones(3))
+
+
+def sweep_with_indices(kind, indices, operand):
+    """Run one of the four sweeps over three rows of one entry each."""
+    data = np.ones(3)
+    indices = np.asarray(indices, dtype=np.int64)
+    if kind == "csr":
+        plan = build_sweep_plan([0, 1, 2, 3], 3)
+        if operand.ndim == 1:
+            return csr_sweep_matvec(data, indices, plan, operand)
+        return csr_sweep_matmat(data, indices, plan, operand)
+    if operand.ndim == 1:
+        return ell_sweep_matvec(data[:, None], indices[:, None], operand)
+    return ell_sweep_matmat(data[:, None], indices[:, None], operand)
+
+
+SWEEPS = [("csr", 1), ("csr", 2), ("ell", 1), ("ell", 2)]
+SWEEP_IDS = ["csr-matvec", "csr-matmat", "ell-matvec", "ell-matmat"]
+
+
+def operand_of(ndim):
+    x = np.array([1.0, 2.0, 3.0])
+    return x if ndim == 1 else np.stack([x, -x], axis=1)
+
+
+class TestColumnBounds:
+    @pytest.mark.parametrize("kind,ndim", SWEEPS, ids=SWEEP_IDS)
+    def test_negative_index_raises(self, kind, ndim):
+        # Without the check the row would silently read x[-1].
+        with pytest.raises(ValidationError, match="column index out of range"):
+            sweep_with_indices(kind, [0, -1, 2], operand_of(ndim))
+
+    @pytest.mark.parametrize("kind,ndim", SWEEPS, ids=SWEEP_IDS)
+    def test_index_past_operand_raises(self, kind, ndim):
+        with pytest.raises(ValidationError, match="column index out of range"):
+            sweep_with_indices(kind, [0, 3, 2], operand_of(ndim))
+
+    def test_padding_index_needs_a_column(self):
+        # An ELL padded slot reads x[0], so an empty operand cannot be swept.
+        with pytest.raises(ValidationError, match="column index out of range"):
+            ell_sweep_matvec(np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64), np.ones(0))
+
+
+class TestRowPointer:
+    def test_decreasing_indptr_rejected(self):
+        with pytest.raises(ValidationError, match="non-decreasing"):
+            build_sweep_plan([0, 2, 1, 3], 3)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValidationError, match=r"\[0, nnz\]"):
+            build_sweep_plan([-1, 1, 2, 3], 3)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ShapeError):
+            build_sweep_plan([0, 1, 2], 3)
+
+    def test_plan_keeps_a_private_read_only_copy(self):
+        indptr = np.array([0, 1, 3], dtype=np.int64)
+        plan = build_sweep_plan(indptr, 2)
+        indptr[1] = 5
+        np.testing.assert_array_equal(plan.indptr, [0, 1, 3])
+        assert not plan.indptr.flags.writeable
+        assert plan.nnz == 3 and plan.n_rows == 2
