@@ -74,8 +74,11 @@ _HOST_FUNCS = frozenset(
     {
         "random_vector",
         "dense_sweep_matvec",
+        "dense_sweep_matmat",
         "csr_sweep_matvec",
+        "csr_sweep_matmat",
         "ell_sweep_matvec",
+        "ell_sweep_matmat",
         "build_sweep_plan",
     }
 )
@@ -868,7 +871,7 @@ class Interp:
                 return Opaque()
             return Opaque()
         if isinstance(base, MatrixVal):
-            if attr == "matvec":
+            if attr in ("matvec", "matmat"):
                 spec = dict(self.contract.matrices)[base.param]
                 for field in MATRIX_FIELDS:
                     if matrix_field_extent(spec, field) is not None:

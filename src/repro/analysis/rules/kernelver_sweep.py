@@ -1,10 +1,10 @@
 """RA018 — canonical-sweep conformance of kernel matrix products.
 
 Every matrix product in this codebase must run the canonical
-contraction order of :mod:`repro.sparse.sweep` (``matvec`` on a
-``DeviceMatrix``, or one of the ``*_sweep_matvec`` helpers), because
-bit-identical replay across storage formats and program flavors depends
-on one accumulation order.  A kernel that contracts the *storage
+contraction order of :mod:`repro.sparse.sweep` (``matvec`` or
+``matmat`` on a ``DeviceMatrix``, or one of the ``*_sweep_*`` helpers),
+because bit-identical replay across storage formats and program flavors
+depends on one accumulation order.  A kernel that contracts the *storage
 buffers* of a matrix parameter through ``@`` / ``np.dot`` / friends is
 re-deriving the product ad hoc — numerically plausible, replay-hostile.
 
@@ -14,7 +14,7 @@ buffers unpacked from them (``.csr`` / ``.ell`` / ``.dense`` / ``.data``
 / subscripts / ``np.asarray``), and a dot-family operation on tainted
 storage is a finding.  Elementwise arithmetic (``*``, ``+=``) on
 tainted storage is untouched, the ``*_sweep_*`` helpers may consume it,
-and ``matvec`` results are clean host vectors.
+and ``matvec``/``matmat`` results are clean host arrays.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ _DOT_FUNCS = frozenset(
 _ALLOWED_CALLEES = frozenset(
     {
         "matvec",
+        "matmat",
         "dense_sweep_matvec",
+        "dense_sweep_matmat",
         "csr_sweep_matvec",
+        "csr_sweep_matmat",
         "ell_sweep_matvec",
+        "ell_sweep_matmat",
         "build_sweep_plan",
     }
 )
@@ -135,7 +139,7 @@ class CanonicalSweepRule(Rule):
     name = "kernel-canonical-sweep"
     description = (
         "@kernel block programs must contract matrix storage through "
-        "DeviceMatrix.matvec / repro.sparse.sweep, never ad-hoc "
+        "DeviceMatrix.matvec/matmat / repro.sparse.sweep, never ad-hoc "
         "dot/matmul on the raw buffers"
     )
     explain = (
@@ -150,7 +154,7 @@ class CanonicalSweepRule(Rule):
         "unpacks, .data views, subscripts, and np.asarray, and flags "
         "dot-family operations on tainted operands.  Elementwise "
         "arithmetic, the *_sweep_* helpers of repro.sparse.sweep and "
-        "matvec calls are allowed; matvec results are clean."
+        "matvec/matmat calls are allowed; their results are clean."
     )
 
     def check(

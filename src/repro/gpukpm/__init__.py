@@ -7,7 +7,9 @@ Work decomposition exactly as the paper describes:
 * inside a block, threads parallelize over the ``H_SIZE`` vector
   elements while the block walks its vectors and the Chebyshev orders
   (the block's global-memory workspace holds 4 vectors, swapped by
-  pointer — paper Fig. 4a);
+  pointer — paper Fig. 4a).  The cost model prices that walk; the
+  emulator advances a block's vectors in lockstep instead, one
+  ``DeviceMatrix.matmat`` sweep of their ``(D, B)`` panel per order;
 * per-vector moments ``mu~_n`` land in global memory and a second kernel
   reduces them to ``mu_n`` (paper Fig. 4b).
 

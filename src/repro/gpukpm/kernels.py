@@ -3,17 +3,20 @@
 The recursion/reduction pair is exactly the paper's two parallel parts:
 
 * :func:`kpm_recursion_kernel` — part (a): each block generates its
-  random vectors, runs the full N-order Chebyshev recursion in its
-  4-vector global-memory workspace (pointer-swapped, paper Fig. 4a), and
-  writes the per-vector moments ``mu~_n`` to global memory.  A cold or
-  a resume prologue seeds the workspace; one step loop then serves
-  both modes.
+  random vectors, runs the full N-order Chebyshev recursion over them,
+  and writes the per-vector moments ``mu~_n`` to global memory.  The
+  emulator advances a block's vectors in lockstep, one
+  :meth:`DeviceMatrix.matmat` sweep of their ``(D, B)`` panel per order;
+  the modeled block walks them one by one through the paper's 4-vector
+  global-memory workspace (pointer-swapped, Fig. 4a), which the cost
+  model prices and the pipeline allocates.  A cold or a resume prologue
+  seeds the recursion; one step loop then serves both modes.
 * :func:`reduce_moments_kernel` — part (b): parallel mean of the
   ``mu~`` table over the ``R*S`` vectors (paper Fig. 4b).
 
 There is no standalone SpMV program: each storage format (dense, CSR,
 CSR-vector, ELL) runs inside :func:`kpm_recursion_kernel` through
-:meth:`DeviceMatrix.matvec`, and the autotuner (:mod:`repro.tune`)
+:meth:`DeviceMatrix.matmat`, and the autotuner (:mod:`repro.tune`)
 confirms a choice by running ``GpuKPM.compute_moments`` in it.
 
 Every matrix product — device-resident or host-side — runs the
@@ -41,8 +44,11 @@ from repro.gpu.kernel import kernel
 from repro.kpm.random_vectors import random_vector
 from repro.sparse.sweep import (
     build_sweep_plan,
+    csr_sweep_matmat,
     csr_sweep_matvec,
+    dense_sweep_matmat,
     dense_sweep_matvec,
+    ell_sweep_matmat,
     ell_sweep_matvec,
 )
 
@@ -110,7 +116,7 @@ class DeviceMatrix:
 
     @property
     def sweep_plan(self):
-        """Canonical slot schedule of the CSR storage (built on demand)."""
+        """Validated row pointer of the CSR storage (built on demand)."""
         if self._plan is None:
             _, _, indptr = self.csr
             self._plan = build_sweep_plan(np.asarray(indptr.data, dtype=np.int64), self.shape[0])
@@ -125,6 +131,16 @@ class DeviceMatrix:
             return csr_sweep_matvec(data.data, indices.data, self.sweep_plan, x)
         ell_data, ell_indices = self.ell
         return ell_sweep_matvec(ell_data.data, ell_indices.data, x)
+
+    def matmat(self, block: np.ndarray) -> np.ndarray:
+        """``H~ @ B`` for a ``(D, k)`` panel; column j equals ``matvec(B[:, j])``."""
+        if self.dense is not None:
+            return dense_sweep_matmat(self.dense.data, block)
+        if self.csr is not None:
+            data, indices, _ = self.csr
+            return csr_sweep_matmat(data.data, indices.data, self.sweep_plan, block)
+        ell_data, ell_indices = self.ell
+        return ell_sweep_matmat(ell_data.data, ell_indices.data, block)
 
     def free(self) -> None:
         """Release the device buffers backing this matrix."""
@@ -154,7 +170,6 @@ _KPM_RECURSION_CONTRACT = KernelContract(
         "ell_width": (0, None),
     },
     arrays={
-        "workspace": ArraySpec(extent=("grid", 4, "D"), role="scratch"),
         "mu_tilde": ArraySpec(
             extent=("num_vectors", "num_moments - start_moment"),
             role="out",
@@ -199,11 +214,23 @@ _KPM_RECURSION_CONTRACT = KernelContract(
 )
 
 
+def _row_dots(r0: np.ndarray, panel: np.ndarray) -> np.ndarray:
+    """``r0[k] @ panel[:, k]`` for each vector ``k`` of a block.
+
+    One stacked ``np.matmul`` over C-contiguous ``(B, D)`` rows: each
+    product is the contiguous BLAS dot that a 1-D ``r0 @ y`` calls, so
+    every vector's moment keeps the bits of the single-vector recursion.
+    ``np.einsum`` or a dot over the strided panel columns can round
+    differently.
+    """
+    rows = np.ascontiguousarray(panel.T)
+    return np.matmul(r0[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
 @kernel("kpm_recursion", pow2_block=True, contract=_KPM_RECURSION_CONTRACT)
 def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline validates the launch
     ctx,
     matrix: DeviceMatrix,
-    workspace,
     mu_tilde,
     plan,
     per_vector_stats,
@@ -219,16 +246,22 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
 ):
     """Part (a): full recursion for this block's vectors.
 
-    ``workspace.data[block_id]`` is the block's 4 x D vector store:
-    slot 0 holds ``|r>`` for the dot products; slots 1-3 rotate as
-    ``r_{n-2}, r_{n-1}, r_n`` — the paper's pointer swap.
+    The block's ``B`` vectors advance in lockstep: ``r0`` holds their
+    start vectors ``|r>`` as ``(B, D)`` rows, and ``prev``/``cur`` hold
+    ``r_{n-2}``, ``r_{n-1}`` as ``(D, B)`` panels, so each order is one
+    :meth:`DeviceMatrix.matmat` sweep, an in-place update
+    (``nxt *= 2; nxt -= prev``, which rounds as ``2 * y - prev`` does)
+    and one stacked dot per vector.  The panels are the emulator's host
+    scratch, like every matvec output; the cost model still prices a
+    block that walks its vectors through the paper's 4-vector workspace
+    (Sec. III-B2, Fig. 4a).
 
     ``first_vector`` offsets the global vector numbering so a device
     working on a partition (multi-GPU, :mod:`repro.cluster`) consumes
     exactly the same random streams as a single device would.
 
-    A prologue seeds slots 1-2, then one step loop runs the orders
-    ``first..num_moments-1`` and writes ``mu~`` at column
+    A prologue seeds ``prev``/``cur``, then one step loop runs the
+    orders ``first..num_moments-1`` and writes ``mu~`` at column
     ``order - start_moment``.  The cold prologue stores ``mu~_0`` and
     ``mu~_1`` from ``(r_0, H r_0)`` and starts the loop at order 2.
     Resume mode (``start_moment >= 2`` with ``resume_state``) loads the
@@ -242,42 +275,10 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
     block_vectors = plan.vectors_of(ctx.linear_block_id)
     if len(block_vectors) == 0:  # pragma: no cover - plan never makes these
         return
-    ws = workspace.data[ctx.linear_block_id]
-    dim = ws.shape[1]
+    dim = matrix.shape[0]
     # Shared memory: the block's dot-product reduction tree.
     ctx.shared_alloc(ctx.threads_per_block * 8)
-
-    for v in block_vectors:
-        realization, vector_index = divmod(first_vector + v, vectors_per_realization)
-        ws[0] = random_vector(
-            dim,
-            vector_kind,
-            seed=seed,
-            realization=realization,
-            vector_index=vector_index,
-        )
-        r0 = ws[0]
-        if resume_state is None:
-            mu_tilde.data[v, 0] = r0 @ r0
-            if num_moments == 1:
-                continue
-            ws[1] = r0               # r_0
-            ws[2] = matrix.matvec(r0)  # r_1
-            mu_tilde.data[v, 1] = r0 @ ws[2]
-            first = 2
-        else:
-            ws[1] = resume_state.data[v, 0]  # r_{start-2}
-            ws[2] = resume_state.data[v, 1]  # r_{start-1}
-            first = start_moment
-        prev, cur, nxt = 1, 2, 3
-        for order in range(first, num_moments):
-            ws[nxt] = 2.0 * matrix.matvec(ws[cur]) - ws[prev]
-            mu_tilde.data[v, order - start_moment] = r0 @ ws[nxt]
-            prev, cur, nxt = cur, nxt, prev
-        if state_out is not None:
-            state_out.data[v, 0] = ws[prev]  # r_{N-2}
-            state_out.data[v, 1] = ws[cur]   # r_{N-1}
-
+    # Charged up front: a cold launch at N = 1 returns after mu~_0.
     ctx.charge(
         flops=per_vector_stats.flops * len(block_vectors),
         gmem_read=per_vector_stats.gmem_read_bytes * len(block_vectors),
@@ -287,6 +288,42 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
         thread_efficiency=per_vector_stats.thread_efficiency,
         precision=per_vector_stats.precision,
     )
+
+    starts = []
+    for v in block_vectors:
+        realization, vector_index = divmod(first_vector + v, vectors_per_realization)
+        starts.append(
+            random_vector(
+                dim,
+                vector_kind,
+                seed=seed,
+                realization=realization,
+                vector_index=vector_index,
+            )
+        )
+    r0 = np.array(starts, dtype=mu_tilde.dtype)
+    if resume_state is None:
+        mu_tilde.data[block_vectors, 0] = _row_dots(r0, r0.T)
+        if num_moments == 1:
+            return
+        prev = r0.T                # r_0
+        cur = matrix.matmat(prev)  # r_1
+        mu_tilde.data[block_vectors, 1] = _row_dots(r0, cur)
+        first = 2
+    else:
+        # The checkpointed pair (r_{start-2}, r_{start-1}).
+        prev = resume_state.data[block_vectors, 0].T
+        cur = resume_state.data[block_vectors, 1].T
+        first = start_moment
+    for order in range(first, num_moments):
+        nxt = matrix.matmat(cur)
+        nxt *= 2.0
+        nxt -= prev
+        mu_tilde.data[block_vectors, order - start_moment] = _row_dots(r0, nxt)
+        prev, cur = cur, nxt
+    if state_out is not None:
+        state_out.data[block_vectors, 0] = prev.T  # r_{N-2}
+        state_out.data[block_vectors, 1] = cur.T   # r_{N-1}
 
 
 _REDUCE_MOMENTS_CONTRACT = KernelContract(

@@ -532,6 +532,9 @@ class GpuKPM:
                     matrix = self._upload_matrix(device, op, spmv, dim, dtype)
 
                     # --- workspace + state buffers (paper Sec. III-B2) ------
+                    # The modeled blocks walk their vectors through this
+                    # 4-vector workspace; the emulated kernel advances
+                    # them in lockstep in host scratch instead.
                     workspace = device.alloc(
                         (plan.num_blocks, 4, dim), dtype=dtype, name="workspace"
                     )
@@ -577,7 +580,6 @@ class GpuKPM:
                             block=chunk_plan.block_size,
                             args=(
                                 matrix,
-                                workspace,
                                 mu_tilde,
                                 chunk_plan,
                                 pv_stats,

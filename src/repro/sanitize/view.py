@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
+
 __all__ = ["SanitizedView"]
 
 _BASIC_TYPES = (int, np.integer, slice, type(Ellipsis), type(None))
@@ -96,10 +98,22 @@ class SanitizedView:
         return self._arr
 
     def __array__(self, dtype=None, copy=None):
+        """NumPy's array protocol, with its ``copy=`` semantics.
+
+        ``copy=True`` returns a fresh array, ``copy=None`` copies only to
+        convert, and ``copy=False`` raises a ``ValueError``
+        (:class:`~repro.errors.ValidationError`) where a conversion
+        would need a copy, as for a plain ndarray.
+        """
         raw = self._consume()
-        if dtype is not None:
-            return raw.astype(dtype)
-        return raw
+        if dtype is None or raw.dtype == np.dtype(dtype):
+            return raw.copy() if copy else raw
+        if copy is False:
+            raise ValidationError(
+                f"converting {raw.dtype} to {np.dtype(dtype)} needs a copy, "
+                "but copy=False"
+            )
+        return raw.astype(dtype)
 
     def _check_slices(self, key) -> None:
         """Report slices reaching past an axis (NumPy silently clamps)."""

@@ -83,10 +83,14 @@ class TestSeededMutants:
 
     def test_off_by_one_store_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = "mu_tilde.data[v, order - start_moment] = r0 @ ws[nxt]"
+        target = (
+            "mu_tilde.data[block_vectors, order - start_moment] = _row_dots(r0, nxt)"
+        )
         assert target in original
         mutated = original.replace(
-            target, "mu_tilde.data[v, order - start_moment + 1] = r0 @ ws[nxt]"
+            target,
+            "mu_tilde.data[block_vectors, order - start_moment + 1] = "
+            "_row_dots(r0, nxt)",
         )
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"
@@ -98,14 +102,14 @@ class TestSeededMutants:
 
     def test_dropped_block_ownership_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = "ws = workspace.data[ctx.linear_block_id]"
+        target = "mu_tilde.data[block_vectors, order - start_moment]"
         assert target in original
-        mutated = original.replace(target, "ws = workspace.data[0]")
+        mutated = original.replace(target, "mu_tilde.data[0, order - start_moment]")
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"
         races = recursion.issues("RA017")
         assert any(issue.certain for _, issue in races), (
-            "every block sharing workspace row 0 must be a *certain* "
+            "every block storing into mu_tilde row 0 must be a *certain* "
             "write/write violation"
         )
         assert any(
@@ -119,8 +123,8 @@ class TestSeededMutants:
         original = KERNELS_PY.read_text(encoding="utf-8")
         (mutant_dir / "kernels.py").write_text(
             original.replace(
-                "ws = workspace.data[ctx.linear_block_id]",
-                "ws = workspace.data[0]",
+                "mu_tilde.data[block_vectors, order - start_moment]",
+                "mu_tilde.data[0, order - start_moment]",
             ),
             encoding="utf-8",
         )

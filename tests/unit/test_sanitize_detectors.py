@@ -221,3 +221,44 @@ class TestAmbientPlumbing:
     def test_null_sanitizer_view_is_raw(self, device):
         arr = device.alloc(8)
         assert NullSanitizer().view(arr) is arr.raw
+
+
+class TestArrayProtocol:
+    """``np.asarray``/``np.array`` on a view follow NumPy's ``copy=`` rules.
+
+    Each conversion records exactly one whole-view read.
+    """
+
+    @pytest.fixture
+    def sanitized(self, device):
+        sanitizer = DeviceSanitizer()
+        with sanitizer.activate():
+            arr = device.alloc(8, name="buf")
+            device.memcpy_htod(arr, np.arange(8.0))
+            before = sanitizer.accesses_checked
+            yield arr
+            assert sanitizer.accesses_checked == before + 1
+        assert sanitizer.findings == []
+
+    def test_asarray_of_matching_dtype_shares_the_buffer(self, sanitized):
+        out = np.asarray(sanitized.data, dtype=np.float64)
+        assert np.shares_memory(out, sanitized.raw)
+
+    def test_array_returns_a_copy(self, sanitized):
+        out = np.array(sanitized.data)
+        assert not np.shares_memory(out, sanitized.raw)
+        out[0] = -1.0
+        assert sanitized.raw[0] == 0.0
+
+    def test_array_with_copy_true_returns_a_copy(self, sanitized):
+        out = np.array(sanitized.data, copy=True)
+        assert not np.shares_memory(out, sanitized.raw)
+        assert out.tobytes() == sanitized.raw.tobytes()
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.0.0",
+        reason="np.asarray takes copy= from NumPy 2.0",
+    )
+    def test_conversion_without_copy_raises(self, sanitized):
+        with pytest.raises(ValueError):
+            np.asarray(sanitized.data, dtype=np.float32, copy=False)
