@@ -33,6 +33,7 @@ from repro.gpu.kernel import KernelStats, kernel
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.kernels import DeviceMatrix
+from repro.gpukpm.pipeline import GpuKPM
 from repro.gpukpm.spmv import _itemsize, _matvec_model, uniform_csr_model
 from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
@@ -302,85 +303,86 @@ class GpuConductivity:
         n = config.num_moments
         plan = plan_grid(config.total_vectors, config.block_size, self.spec)
         dtype = np.float64 if config.precision == "double" else np.float32
+        item = _itemsize(config.precision)
+        # CSR is charged as uniform_csr_model; any other storage uploads dense.
+        spmv, current_spmv = [
+            uniform_csr_model(dim, op.nnz_stored, precision=config.precision)
+            if isinstance(op, CSRMatrix)
+            else None
+            for op in (h_op, a_op)
+        ]
+        pv_stats = per_vector_conductivity_stats(
+            dim,
+            n,
+            spmv=spmv,
+            current_spmv=current_spmv,
+            block_size=plan.block_size,
+            precision=config.precision,
+        )
+        footprint = (
+            plan_conductivity_memory(
+                self.spec, dim, config, spmv=spmv, current_spmv=current_spmv
+            )["hamiltonian"]
+            + min(plan.num_blocks, self.spec.sm_count) * 2 * n * dim * item
+        )
+        reduce_stats = conductivity_reduce_stats(
+            n, plan.num_blocks, precision=config.precision
+        )
 
         with WallTimer() as timer:
             device = Device(self.spec)
             self.last_device = device
-
-            def upload(op, name):
-                if isinstance(op, CSRMatrix):
-                    d_data = device.alloc(op.nnz_stored, dtype=dtype, name=f"{name}.data")
-                    d_idx = device.alloc(op.nnz_stored, dtype=np.int64, name=f"{name}.indices")
-                    d_ptr = device.alloc(dim + 1, dtype=np.int64, name=f"{name}.indptr")
-                    device.memcpy_htod(d_data, op.data.astype(dtype))
-                    device.memcpy_htod(d_idx, op.indices)
-                    device.memcpy_htod(d_ptr, op.indptr)
-                    return (
-                        DeviceMatrix(csr_data=d_data, csr_indices=d_idx, csr_indptr=d_ptr, shape=op.shape),
-                        uniform_csr_model(dim, op.nnz_stored, precision=config.precision),
-                    )
-                d_mat = device.alloc((dim, dim), dtype=dtype, name=f"{name}.dense")
-                device.memcpy_htod(d_mat, op.to_dense().astype(dtype))
-                return DeviceMatrix(dense=d_mat), None
-
-            matrix, spmv = upload(h_op, "H")
-            current_dev, current_spmv = upload(a_op, "A")
-            stacks = device.alloc((plan.num_blocks, 2, n, dim), dtype=dtype, name="stacks")
-            partials = device.alloc((plan.num_blocks, n, n), dtype=dtype, name="partials")
-            result = device.alloc((n, n), dtype=dtype, name="mu_nm")
-
-            pv_stats = per_vector_conductivity_stats(
-                dim,
-                n,
-                spmv=spmv,
-                current_spmv=current_spmv,
-                block_size=plan.block_size,
-                precision=config.precision,
-            )
-            footprint = (
-                plan_conductivity_memory(
-                    self.spec, dim, config, spmv=spmv, current_spmv=current_spmv
-                )["hamiltonian"]
-                + min(plan.num_blocks, self.spec.sm_count) * 2 * n * dim * (8 if config.precision == "double" else 4)
-            )
-            device.launch(
-                _kpm_conductivity_kernel,
-                grid=plan.num_blocks,
-                block=plan.block_size,
-                args=(
-                    matrix,
-                    current_dev,
-                    stacks,
-                    partials,
-                    plan,
-                    pv_stats,
-                    footprint,
-                    n,
-                    config.num_random_vectors,
-                    config.vector_kind,
-                    config.seed,
-                ),
-                shared_bytes_per_block=plan.block_size * 8,
-            )
-            reduce_stats = conductivity_reduce_stats(
-                n, plan.num_blocks, precision=config.precision
-            )
-            device.launch(
-                _reduce_conductivity_kernel,
-                # Single-block tree reduction over the per-block partial
-                # tables (paper Fig. 4b analogue); the geometry is fixed
-                # by the algorithm, not planned.
-                grid=1,  # repro: noqa[RA004]
-                block=plan.block_size,
-                args=(partials, result, float(config.total_vectors), reduce_stats),
-            )
-            host_result = np.empty((n, n), dtype=dtype)
-            device.memcpy_dtoh(host_result, result)
-            result.free()
-            partials.free()
-            stacks.free()
-            current_dev.free()
-            matrix.free()
+            try:
+                matrix = GpuKPM._upload_matrix(
+                    device, h_op, _matvec_model(spmv, dim, item), dim, dtype, name="H"
+                )
+                current_dev = GpuKPM._upload_matrix(
+                    device, a_op, _matvec_model(current_spmv, dim, item), dim, dtype, name="A"
+                )
+                stacks = device.alloc((plan.num_blocks, 2, n, dim), dtype=dtype, name="stacks")
+                partials = device.alloc((plan.num_blocks, n, n), dtype=dtype, name="partials")
+                result = device.alloc((n, n), dtype=dtype, name="mu_nm")
+                device.launch(
+                    _kpm_conductivity_kernel,
+                    grid=plan.num_blocks,
+                    block=plan.block_size,
+                    args=(
+                        matrix,
+                        current_dev,
+                        stacks,
+                        partials,
+                        plan,
+                        pv_stats,
+                        footprint,
+                        n,
+                        config.num_random_vectors,
+                        config.vector_kind,
+                        config.seed,
+                    ),
+                    shared_bytes_per_block=plan.block_size * 8,
+                )
+                device.launch(
+                    _reduce_conductivity_kernel,
+                    # Single-block tree reduction over the per-block partial
+                    # tables (paper Fig. 4b analogue); the geometry is fixed
+                    # by the algorithm, not planned.
+                    grid=1,  # repro: noqa[RA004]
+                    block=plan.block_size,
+                    args=(partials, result, float(config.total_vectors), reduce_stats),
+                )
+                host_result = np.empty((n, n), dtype=dtype)
+                device.memcpy_dtoh(host_result, result)
+                result.free()
+                partials.free()
+                stacks.free()
+                current_dev.free()
+                matrix.free()
+            finally:
+                # The normal path frees each buffer after its last use;
+                # what an exception left live (a partial upload, the
+                # buffers of a failed allocation or launch) is freed here.
+                for array in device.memory.live_arrays:
+                    array.free()
 
         breakdown = dict(device.profiler.seconds_by_kernel())
         breakdown["setup"] = device.profiler.setup_seconds

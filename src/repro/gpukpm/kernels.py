@@ -66,11 +66,11 @@ class DeviceMatrix:
     choice also selects the cost accounting (dense sweep vs CSR gather
     vs padded ELL stream) through the pipeline's ``SpmvModel``.
 
-    For CSR storage, pass the *host-side* ``host_indptr`` so the
-    canonical :class:`~repro.sparse.sweep.SweepPlan` is built without
-    touching device memory outside a launch (the device sanitizer
-    tracks every device-buffer access); without it the plan is built
-    lazily from the device row pointer on first use inside a launch.
+    CSR storage always takes the *host-side* ``host_indptr`` and builds
+    its canonical :class:`~repro.sparse.sweep.SweepPlan` from it here,
+    so no plan is ever read from device memory (the device sanitizer
+    tracks every device-buffer access).  ``GpuKPM._upload_matrix`` is
+    the one upload that builds these.
     """
 
     def __init__(
@@ -96,14 +96,15 @@ class DeviceMatrix:
             self.nnz = None
             self.format = "dense"
         elif csr_data is not None:
-            if csr_indices is None or csr_indptr is None or shape is None:
-                raise DeviceError("CSR DeviceMatrix needs data, indices, indptr, shape")
+            if any(arg is None for arg in (csr_indices, csr_indptr, shape, host_indptr)):
+                raise DeviceError(
+                    "CSR DeviceMatrix needs data, indices, indptr, shape, host_indptr"
+                )
             self.csr = (csr_data, csr_indices, csr_indptr)
             self.shape = shape
             self.nnz = int(csr_data.shape[0])
             self.format = "csr"
-            if host_indptr is not None:
-                self._plan = build_sweep_plan(host_indptr, shape[0])
+            self._plan = build_sweep_plan(host_indptr, shape[0])
         elif ell_data is not None:
             if ell_indices is None or shape is None:
                 raise DeviceError("ELL DeviceMatrix needs data, indices, shape")
@@ -114,21 +115,13 @@ class DeviceMatrix:
         else:
             raise DeviceError("DeviceMatrix needs dense, CSR, or ELL storage")
 
-    @property
-    def sweep_plan(self):
-        """Validated row pointer of the CSR storage (built on demand)."""
-        if self._plan is None:
-            _, _, indptr = self.csr
-            self._plan = build_sweep_plan(np.asarray(indptr.data, dtype=np.int64), self.shape[0])
-        return self._plan
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``H~ @ x`` against the device-resident storage (canonical order)."""
         if self.dense is not None:
             return dense_sweep_matvec(self.dense.data, x)
         if self.csr is not None:
             data, indices, _ = self.csr
-            return csr_sweep_matvec(data.data, indices.data, self.sweep_plan, x)
+            return csr_sweep_matvec(data.data, indices.data, self._plan, x)
         ell_data, ell_indices = self.ell
         return ell_sweep_matvec(ell_data.data, ell_indices.data, x)
 
@@ -138,7 +131,7 @@ class DeviceMatrix:
             return dense_sweep_matmat(self.dense.data, block)
         if self.csr is not None:
             data, indices, _ = self.csr
-            return csr_sweep_matmat(data.data, indices.data, self.sweep_plan, block)
+            return csr_sweep_matmat(data.data, indices.data, self._plan, block)
         ell_data, ell_indices = self.ell
         return ell_sweep_matmat(ell_data.data, ell_indices.data, block)
 

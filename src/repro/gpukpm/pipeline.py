@@ -39,28 +39,11 @@ from repro.gpukpm.stats import (
 from repro.kpm.config import KPMConfig
 from repro.kpm.moments import MomentData, _check_extension, _run_key
 from repro.trace.tracer import current_tracer
-from repro.sparse import CSRMatrix, ELLMatrix, as_operator
+from repro.sparse import as_format, as_operator
 from repro.timing import TimingReport, WallTimer
 from repro.util.validation import check_positive_int
 
 __all__ = ["CheckpointChunk", "GpuMomentState", "GpuKPM"]
-
-
-def _as_csr(op) -> CSRMatrix:
-    """Host-side CSR view of any operator (cheap when already CSR)."""
-    if isinstance(op, CSRMatrix):
-        return op
-    to_csr = getattr(op, "to_csr", None)
-    if to_csr is not None:
-        return to_csr()
-    return CSRMatrix.from_dense(op.to_dense())
-
-
-def _as_ell(op) -> ELLMatrix:
-    """Host-side ELL view of any operator (cheap when already ELL)."""
-    if isinstance(op, ELLMatrix):
-        return op
-    return _as_csr(op).to_ell()
 
 
 @dataclass(frozen=True)
@@ -208,23 +191,26 @@ class GpuKPM:
             config = replace(config, block_size=block_size)
         return model, config
 
+    @staticmethod
     def _upload_matrix(
-        self, device: Device, op, spmv: SpmvModel, dim: int, dtype
+        device: Device, op, spmv: SpmvModel, dim: int, dtype, *, name: str = "H"
     ) -> DeviceMatrix:
-        """Upload ``op`` in the storage the resolved format requires.
+        """Upload ``op`` in the storage ``spmv.format`` runs on.
 
-        Converts host-side when the operator's storage differs from the
-        chosen format (e.g. a CSR operator tuned onto the ELL program);
-        the PCIe transfers below match ``spmv.upload_bytes`` exactly,
+        The one device upload of a matrix: converts host-side through
+        :func:`repro.sparse.as_format` when the storage differs (e.g. a
+        CSR operator tuned onto the ELL program), names the buffers
+        ``{name}.*``, and builds a CSR sweep plan from the host row
+        pointer.  The PCIe transfers match ``spmv.upload_bytes`` exactly,
         which is what the estimator prices.
         """
         fmt = spmv.format
         if fmt in ("csr", "csr-vector"):
-            csr = _as_csr(op)
+            csr = as_format(op, "csr")
             nnz = csr.nnz_stored
-            d_data = device.alloc(nnz, dtype=dtype, name="H.data")
-            d_indices = device.alloc(nnz, dtype=np.int64, name="H.indices")
-            d_indptr = device.alloc(dim + 1, dtype=np.int64, name="H.indptr")
+            d_data = device.alloc(nnz, dtype=dtype, name=f"{name}.data")
+            d_indices = device.alloc(nnz, dtype=np.int64, name=f"{name}.indices")
+            d_indptr = device.alloc(dim + 1, dtype=np.int64, name=f"{name}.indptr")
             device.memcpy_htod(d_data, csr.data.astype(dtype))
             device.memcpy_htod(d_indices, csr.indices)
             device.memcpy_htod(d_indptr, csr.indptr)
@@ -236,10 +222,12 @@ class GpuKPM:
                 host_indptr=csr.indptr,
             )
         if fmt == "ell":
-            ell = _as_ell(op)
-            d_data = device.alloc((dim, ell.width), dtype=dtype, name="H.ell_data")
+            ell = as_format(op, "ell")
+            d_data = device.alloc(
+                (dim, ell.width), dtype=dtype, name=f"{name}.ell_data"
+            )
             d_indices = device.alloc(
-                (dim, ell.width), dtype=np.int64, name="H.ell_indices"
+                (dim, ell.width), dtype=np.int64, name=f"{name}.ell_indices"
             )
             device.memcpy_htod(d_data, ell.data.astype(dtype))
             device.memcpy_htod(d_indices, ell.indices)
@@ -249,8 +237,8 @@ class GpuKPM:
                 shape=ell.shape,
                 nnz=ell.nnz_stored,
             )
-        d_matrix = device.alloc((dim, dim), dtype=dtype, name="H.dense")
-        device.memcpy_htod(d_matrix, op.to_dense().astype(dtype))
+        d_matrix = device.alloc((dim, dim), dtype=dtype, name=f"{name}.dense")
+        device.memcpy_htod(d_matrix, as_format(op, "dense").astype(dtype))
         return DeviceMatrix(dense=d_matrix)
 
     # ------------------------------------------------------------------

@@ -133,12 +133,14 @@ def _run_conductivity() -> None:
 
 
 def _run_tune() -> None:
-    """Each sparse SpMV block program under the sanitizer.
+    """Each sparse storage format of ``kpm_recursion`` under the sanitizer.
 
-    The dense pipeline is covered by the ``dos`` workload; this drives
-    the csr-scalar, csr-vector, and ELL programs explicitly (pinned
-    format, not tuner-driven, so coverage cannot silently change when
-    cost models shift the tuner's winner).
+    There is no standalone SpMV program: ``kpm_recursion`` sweeps the
+    uploaded storage through ``DeviceMatrix.matmat``.  The dense storage
+    is covered by the ``dos`` workload; this pins CSR (as the ``csr``
+    and ``csr-vector`` formats) and ELL explicitly (pinned format, not
+    tuner-driven, so coverage cannot silently change when cost models
+    shift the tuner's winner).
     """
     from repro.gpukpm.pipeline import GpuKPM
 

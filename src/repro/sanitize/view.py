@@ -43,13 +43,6 @@ def _is_basic(key) -> bool:
     return all(isinstance(part, _BASIC_TYPES) for part in parts)
 
 
-def _is_scalar(key, ndim: int) -> bool:
-    """True when the basic key selects exactly one element."""
-    parts = key if isinstance(key, tuple) else (key,)
-    ints = [part for part in parts if isinstance(part, (int, np.integer))]
-    return len(ints) == len(parts) and len(ints) == ndim
-
-
 class SanitizedView:
     """Instrumented window onto one :class:`DeviceArray` allocation."""
 

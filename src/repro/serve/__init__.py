@@ -62,7 +62,6 @@ from repro.serve.requests import (
     LDoSRequest,
     SpectralRequest,
     SpectralResponse,
-    moment_config_key,
     moment_identity_key,
 )
 from repro.serve.scheduler import (
@@ -104,7 +103,6 @@ __all__ = [
     "TimedArrival",
     "TokenBucket",
     "check_equivalence",
-    "moment_config_key",
     "moment_identity_key",
     "synthetic_trace",
     "timed_trace",

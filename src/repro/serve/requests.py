@@ -19,9 +19,7 @@ engine run — and, since moments are *prefix-closed* (``mu_n`` never
 depends on the truncation order), it also excludes ``num_moments``:
 requests differing only in ``N`` share a batch and a cache entry, the
 longest order wins, and shorter members are served bit-identical
-prefix slices.  :func:`moment_config_key` is the historical
-order-including key (identity plus ``num_moments``), kept for exact-
-match comparisons.
+prefix slices.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "LDoSRequest",
     "GreenRequest",
     "SpectralResponse",
-    "moment_config_key",
     "moment_identity_key",
 ]
 
@@ -165,20 +162,6 @@ def moment_identity_key(config: KPMConfig, *, site: int | None = None) -> tuple:
         config.block_size,
         config.precision,
     )
-
-
-def moment_config_key(config: KPMConfig, *, site: int | None = None) -> tuple:
-    """The moment identity *including* the truncation order.
-
-    This is :func:`moment_identity_key` plus ``num_moments`` — the
-    exact-match key the PR 3 cache used.  Kept for comparisons and for
-    callers that genuinely need order-sensitive equality.
-    """
-    if not isinstance(config, KPMConfig):
-        raise ValidationError(
-            f"config must be a KPMConfig, got {type(config).__name__}"
-        )
-    return moment_identity_key(config, site=site) + (config.num_moments,)
 
 
 @dataclass(frozen=True)

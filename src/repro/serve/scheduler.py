@@ -111,13 +111,6 @@ class Batch:
             for entry in self.entries
         )
 
-    @property
-    def max_priority(self) -> int:
-        """Highest member priority (``0`` for legacy requests)."""
-        return max(
-            getattr(entry.request, "priority", 0) for entry in self.entries
-        )
-
 
 class FifoCoalesceScheduler:
     """FIFO queue with compatibility coalescing.

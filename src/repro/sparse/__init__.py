@@ -12,10 +12,13 @@ behind one small operator protocol:
 
 All operators expose ``shape``, ``nnz_stored``, ``nbytes``, ``matvec``,
 ``matmat``, ``diagonal``, ``offdiag_abs_row_sums`` (for Gerschgorin
-bounds) and ``to_dense``.  Every ``matvec``/``matmat`` runs the
-*canonical contraction order* of :mod:`repro.sparse.sweep`, so the same
-matrix produces bit-identical results in every storage format — storage
-is a cost/layout choice the autotuner (:mod:`repro.tune`) makes freely.
+bounds) and ``to_dense``.  CSR, ELL and dense share one shape-checked
+``matvec``/``matmat``/``dot``/``@``, and each format supplies only its
+two sweeps of the *canonical contraction order* of
+:mod:`repro.sparse.sweep`, so the same matrix produces bit-identical
+results in every storage format — storage is a cost/layout choice the
+autotuner (:mod:`repro.tune`) makes freely.  :func:`as_format` is the
+one exact conversion between them.
 
 :func:`structure_profile` / :func:`structure_fingerprint` extract the
 value-independent structural statistics (density, bandwidth, row-nnz
@@ -31,7 +34,7 @@ from repro.sparse.fingerprint import (
     structure_fingerprint,
     structure_profile,
 )
-from repro.sparse.ops import LinearOperatorProtocol, as_operator, is_operator
+from repro.sparse.ops import LinearOperatorProtocol, as_format, as_operator, is_operator
 from repro.sparse.io import read_matrix_market, write_matrix_market
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "ELLMatrix",
     "LinearOperatorProtocol",
     "StructureProfile",
+    "as_format",
     "as_operator",
     "is_operator",
     "read_matrix_market",

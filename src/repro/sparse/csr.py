@@ -22,7 +22,12 @@ import hashlib
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
-from repro.sparse.sweep import build_sweep_plan, csr_sweep_matmat, csr_sweep_matvec
+from repro.sparse.sweep import (
+    _CheckedProducts,
+    build_sweep_plan,
+    csr_sweep_matmat,
+    csr_sweep_matvec,
+)
 from repro.util.validation import check_positive_int
 
 __all__ = ["CSRMatrix", "content_fingerprint"]
@@ -46,7 +51,7 @@ def content_fingerprint(tag: str, shape: tuple[int, int], *arrays) -> str:
     return digest.hexdigest()
 
 
-class CSRMatrix:
+class CSRMatrix(_CheckedProducts):
     """Sparse matrix in CSR format (float64 data, int64 indices).
 
     Parameters
@@ -235,40 +240,11 @@ class CSRMatrix:
             self._sweep_plan = build_sweep_plan(self.indptr, self.shape[0])
         return self._sweep_plan
 
-    def matvec(self, x) -> np.ndarray:
-        """Return ``A @ x`` for a vector ``x`` of length ``n_cols``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"x must be a vector of length {self.shape[1]}, got shape {x.shape}"
-            )
+    def _sweep_matvec(self, x) -> np.ndarray:
         return csr_sweep_matvec(self.data, self.indices, self.sweep_plan, x)
 
-    def matmat(self, block) -> np.ndarray:
-        """Return ``A @ B`` for a ``(n_cols, k)`` block of vectors.
-
-        This is the blocked SpMM the batched KPM recursion uses: one
-        compiled pass over the rows adds each stored entry times its
-        row of the block — memory traffic proportional to ``nnz * k``,
-        in the canonical contraction order.
-        """
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"block must have shape ({self.shape[1]}, k), got {block.shape}"
-            )
+    def _sweep_matmat(self, block) -> np.ndarray:
         return csr_sweep_matmat(self.data, self.indices, self.sweep_plan, block)
-
-    def dot(self, other) -> np.ndarray:
-        """Dispatch to :meth:`matvec` or :meth:`matmat` on ``other.ndim``."""
-        other = np.asarray(other, dtype=np.float64)
-        if other.ndim == 1:
-            return self.matvec(other)
-        if other.ndim == 2:
-            return self.matmat(other)
-        raise ShapeError(f"operand must be 1-D or 2-D, got shape {other.shape}")
-
-    __matmul__ = dot
 
     # ------------------------------------------------------------------
     # Transformations

@@ -3,6 +3,9 @@
 The paper's measured configuration stores the Hamiltonian densely
 ("the CRS format is not applied"), so the benchmark figures run through
 this operator.  It is a thin wrapper over a C-contiguous float64 array.
+Its products run :func:`repro.sparse.sweep.dense_sweep_matvec` rather
+than BLAS ``gemv``, whose blocking reorders the sums, so they are
+bit-identical to the CSR and ELL operators holding the same matrix.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.sparse.sweep import dense_sweep_matmat, dense_sweep_matvec
+from repro.sparse.sweep import _CheckedProducts, dense_sweep_matmat, dense_sweep_matvec
 from repro.util.validation import as_float64_array
 
 __all__ = ["DenseOperator"]
 
 
-class DenseOperator:
+class DenseOperator(_CheckedProducts):
     """A dense square matrix exposing the library's operator protocol."""
 
     __slots__ = ("array", "shape")
@@ -55,40 +58,11 @@ class DenseOperator:
         return f"DenseOperator(shape={self.shape})"
 
     # ------------------------------------------------------------------
-    def matvec(self, x) -> np.ndarray:
-        """Return ``A @ x`` in the canonical contraction order.
-
-        Uses :func:`repro.sparse.sweep.dense_sweep_matvec` rather than
-        BLAS ``gemv`` so that dense results are bit-identical to the CSR
-        and ELL operators holding the same matrix (BLAS blocking reorders
-        the floating-point sums).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"x must be a vector of length {self.shape[1]}, got shape {x.shape}"
-            )
+    def _sweep_matvec(self, x) -> np.ndarray:
         return dense_sweep_matvec(self.array, x)
 
-    def matmat(self, block) -> np.ndarray:
-        """Return ``A @ B`` for a ``(n_cols, k)`` block (canonical order)."""
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"block must have shape ({self.shape[1]}, k), got {block.shape}"
-            )
+    def _sweep_matmat(self, block) -> np.ndarray:
         return dense_sweep_matmat(self.array, block)
-
-    def dot(self, other) -> np.ndarray:
-        """Dispatch to :meth:`matvec` or :meth:`matmat` on ``other.ndim``."""
-        other = np.asarray(other, dtype=np.float64)
-        if other.ndim == 1:
-            return self.matvec(other)
-        if other.ndim == 2:
-            return self.matmat(other)
-        raise ShapeError(f"operand must be 1-D or 2-D, got shape {other.shape}")
-
-    __matmul__ = dot
 
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:

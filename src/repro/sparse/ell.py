@@ -19,12 +19,12 @@ import numpy as np
 
 from repro.errors import ShapeError, ValidationError
 from repro.sparse.csr import CSRMatrix, content_fingerprint
-from repro.sparse.sweep import ell_sweep_matmat, ell_sweep_matvec
+from repro.sparse.sweep import _CheckedProducts, ell_sweep_matmat, ell_sweep_matvec
 
 __all__ = ["ELLMatrix"]
 
 
-class ELLMatrix:
+class ELLMatrix(_CheckedProducts):
     """Sparse matrix in ELL format (float64 data, int64 indices).
 
     Parameters
@@ -167,34 +167,11 @@ class ELLMatrix:
     # ------------------------------------------------------------------
     # Linear algebra (canonical sweep — bit-identical to CSR and dense)
     # ------------------------------------------------------------------
-    def matvec(self, x) -> np.ndarray:
-        """Return ``A @ x`` for a vector ``x`` of length ``n_cols``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"x must be a vector of length {self.shape[1]}, got shape {x.shape}"
-            )
+    def _sweep_matvec(self, x) -> np.ndarray:
         return ell_sweep_matvec(self.data, self.indices, x)
 
-    def matmat(self, block) -> np.ndarray:
-        """Return ``A @ B`` for a ``(n_cols, k)`` block of vectors."""
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"block must have shape ({self.shape[1]}, k), got {block.shape}"
-            )
+    def _sweep_matmat(self, block) -> np.ndarray:
         return ell_sweep_matmat(self.data, self.indices, block)
-
-    def dot(self, other) -> np.ndarray:
-        """Dispatch to :meth:`matvec` or :meth:`matmat` on ``other.ndim``."""
-        other = np.asarray(other, dtype=np.float64)
-        if other.ndim == 1:
-            return self.matvec(other)
-        if other.ndim == 2:
-            return self.matmat(other)
-        raise ShapeError(f"operand must be 1-D or 2-D, got shape {other.shape}")
-
-    __matmul__ = dot
 
     # ------------------------------------------------------------------
     # Transformations

@@ -3,7 +3,8 @@
 The KPM engines accept "anything matrix-like": a raw ``ndarray``, a
 :class:`~repro.sparse.CSRMatrix`, a :class:`~repro.sparse.COOMatrix`, or a
 :class:`~repro.sparse.DenseOperator`.  :func:`as_operator` normalizes these
-into the common protocol.
+into the common protocol, and :func:`as_format` converts any of them
+exactly into the storage a program runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.dense import DenseOperator
 from repro.sparse.ell import ELLMatrix
 
-__all__ = ["LinearOperatorProtocol", "as_operator", "is_operator"]
+__all__ = ["LinearOperatorProtocol", "as_format", "as_operator", "is_operator"]
 
 
 @runtime_checkable
@@ -94,3 +95,28 @@ def as_operator(matrix, *, require_square: bool = True):
     if require_square and op.shape[0] != op.shape[1]:
         raise ShapeError(f"operator must be square, got shape {op.shape}")
     return op
+
+
+def as_format(matrix, fmt: str):
+    """Return ``matrix`` stored as ``fmt``: ``"csr"``, ``"ell"`` or ``"dense"``.
+
+    Accepts whatever :func:`as_operator` accepts.  A CSR or ELL input
+    already stored as ``fmt`` comes back as it is; ``"dense"`` returns
+    the float64 array.  Conversions drop only exact zeros, whose
+    products the canonical sweep absorbs (:mod:`repro.sparse.sweep`),
+    so every storage of one matrix computes bit-identical products.
+    """
+    if fmt not in ("csr", "ell", "dense"):
+        raise ValidationError(f"fmt must be 'csr', 'ell' or 'dense', got {fmt!r}")
+    op = as_operator(matrix, require_square=False)
+    if fmt == "dense":
+        return op.to_dense()
+    if fmt == "ell" and isinstance(op, ELLMatrix):
+        return op
+    if isinstance(op, CSRMatrix):
+        csr = op
+    elif hasattr(op, "to_csr"):
+        csr = op.to_csr()
+    else:
+        csr = CSRMatrix.from_dense(op.to_dense())
+    return csr if fmt == "csr" else csr.to_ell()

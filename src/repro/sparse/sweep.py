@@ -43,6 +43,10 @@ therefore holds a validated row pointer, the sweeps refuse
 in ``[0, len(x))`` (one unsigned maximum over the index array) or the
 sweep raises :class:`~repro.errors.ValidationError`.  The dense sweep
 keeps one vectorized multiply-accumulate per column.
+
+**One product surface.**  The host operators (CSR, ELL and dense)
+share the shape-checked ``matvec``/``matmat``/``dot``/``@`` of
+:class:`_CheckedProducts`; each class supplies only its two sweep calls.
 """
 
 from __future__ import annotations
@@ -171,6 +175,7 @@ def ell_sweep_matmat(ell_data, ell_indices, block) -> np.ndarray:
         )
     return _row_loop(_ell_indptr(ell_data.shape), ell_data, ell_indices, block)
 
+
 def dense_sweep_matvec(array, x) -> np.ndarray:
     """Canonical ``A @ x`` over dense storage (every column, ascending)."""
     if array.ndim != 2:
@@ -191,3 +196,45 @@ def dense_sweep_matmat(array, block) -> np.ndarray:
     for j in range(array.shape[1]):
         out += array[:, j, None] * block[j, :]
     return out
+
+
+class _CheckedProducts:
+    """Shape-checked ``matvec``/``matmat``/``dot``/``@`` of a host operator.
+
+    Subclasses hold ``shape`` and define ``_sweep_matvec(x)`` and
+    ``_sweep_matmat(block)``, which call their format's
+    ``*_sweep_matvec`` and ``*_sweep_matmat``.  Operands are coerced to
+    float64; a 1-D operand runs the vector sweep and a 2-D one the block
+    sweep, whose columns are independent.
+    """
+
+    __slots__ = ()
+
+    def matvec(self, x) -> np.ndarray:
+        """Return ``A @ x`` for a vector ``x`` of length ``n_cols``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1 or x.shape[0] != self.shape[1]:
+            raise ShapeError(
+                f"x must be a vector of length {self.shape[1]}, got shape {x.shape}"
+            )
+        return self._sweep_matvec(x)
+
+    def matmat(self, block) -> np.ndarray:
+        """Return ``A @ B`` for a ``(n_cols, k)`` block of vectors."""
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] != self.shape[1]:
+            raise ShapeError(
+                f"block must have shape ({self.shape[1]}, k), got {block.shape}"
+            )
+        return self._sweep_matmat(block)
+
+    def dot(self, other) -> np.ndarray:
+        """Dispatch to :meth:`matvec` or :meth:`matmat` on ``other.ndim``."""
+        other = np.asarray(other, dtype=np.float64)
+        if other.ndim == 1:
+            return self.matvec(other)
+        if other.ndim == 2:
+            return self.matmat(other)
+        raise ShapeError(f"operand must be 1-D or 2-D, got shape {other.shape}")
+
+    __matmul__ = dot

@@ -32,6 +32,7 @@ from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.estimator import estimate_gpu_kpm_seconds
 from repro.gpukpm.spmv import SPMV_FORMATS, VECTOR_WIDTHS, spmv_model_for
 from repro.kpm.config import KPMConfig
+from repro.sparse import as_format
 from repro.sparse.fingerprint import (
     StructureProfile,
     structure_fingerprint,
@@ -333,31 +334,13 @@ class Autotuner:
 
         Pre-converting once (e.g. before the serve layer caches an
         operator for repeated requests) keeps the per-request pipeline
-        from re-packing storage on every run.  All conversions are
-        exact, so numerics are unchanged.
+        from re-packing storage on every run.  The conversion is
+        :func:`repro.sparse.as_format`, exact for every input storage,
+        so numerics are unchanged; ``csr-vector`` runs on CSR storage.
         """
-        import numpy as np
-
-        from repro.sparse.csr import CSRMatrix
-        from repro.sparse.ell import ELLMatrix
-
         if not isinstance(choice, TuningChoice):
             raise ValidationError(
                 f"choice must be a TuningChoice, got {type(choice).__name__}"
             )
-        if choice.format == "ell":
-            if isinstance(operator, ELLMatrix):
-                return operator
-            if isinstance(operator, CSRMatrix):
-                return operator.to_ell()
-            return ELLMatrix.from_dense(np.asarray(operator, dtype=np.float64))
-        if choice.format in ("csr", "csr-vector"):
-            if isinstance(operator, CSRMatrix):
-                return operator
-            if isinstance(operator, ELLMatrix):
-                return operator.to_csr()
-            return CSRMatrix.from_dense(np.asarray(operator, dtype=np.float64))
-        # dense
-        if isinstance(operator, (CSRMatrix, ELLMatrix)):
-            return operator.to_dense()
-        return operator
+        fmt = "csr" if choice.format == "csr-vector" else choice.format
+        return as_format(operator, fmt)

@@ -47,11 +47,23 @@ configs = st.builds(
 )
 
 
+#: Input storages: every conversion into every executed format is exact.
+STORAGES = {
+    "csr": lambda op: op,
+    "ell": lambda op: op.to_ell(),
+    "dense-operator": lambda op: DenseOperator(op.to_dense()),
+    "ndarray": lambda op: op.to_dense(),
+}
+
+
 class TestFormatBitIdentity:
-    @given(csr=symmetric_csr(), config=configs)
+    @given(
+        csr=symmetric_csr(), config=configs, storage=st.sampled_from(sorted(STORAGES))
+    )
     @settings(max_examples=20, deadline=None)
-    def test_gpu_formats_identical(self, csr, config):
+    def test_gpu_formats_identical(self, csr, config, storage):
         scaled, _ = rescale_operator(csr)
+        scaled = STORAGES[storage](scaled)
         tables = []
         for fmt, width in (
             ("dense", None),

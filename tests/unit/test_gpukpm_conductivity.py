@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
-from repro.gpu import TESLA_C2050, tiny_test_device
+from repro.errors import OutOfMemoryError, ValidationError
+from repro.gpu import TESLA_C2050, Device, tiny_test_device
 from repro.gpukpm import (
     GpuConductivity,
     estimate_gpu_conductivity_seconds,
@@ -124,6 +124,35 @@ class TestTiming:
         _, current, scaled = system
         with pytest.raises(ValidationError):
             GpuConductivity().run(scaled, current, None)
+
+
+class TestBuffersFreedOnError:
+    def test_each_failing_allocation_frees_everything(self, monkeypatch, system):
+        _, current, scaled = system
+        config = KPMConfig(num_moments=64, num_random_vectors=64, block_size=32)
+        log = []  # (bytes in use once this request is granted, name)
+        original = Device.alloc
+
+        def recording(self, shape, *, dtype=np.float64, name="buffer"):
+            nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            log.append((self.memory.used_bytes + nbytes, name))
+            return original(self, shape, dtype=dtype, name=name)
+
+        monkeypatch.setattr(Device, "alloc", recording)
+        GpuConductivity(tiny_test_device()).run(scaled, current, config)
+        reference = list(log)
+        assert len(reference) == 9  # H and A CSR triples, stacks, partials, mu_nm
+        for index, (needed, name) in enumerate(reference):
+            # The run frees nothing before its end, so one byte short of
+            # this request makes it the first allocation to fail.
+            log.clear()
+            runner = GpuConductivity(tiny_test_device(global_mem_bytes=needed - 1))
+            with pytest.raises(OutOfMemoryError):
+                runner.run(scaled, current, config)
+            assert log == reference[: index + 1]
+            memory = runner.last_device.memory
+            assert memory.live_arrays == (), f"{name} failed and leaked"
+            assert memory.used_bytes == 0
 
 
 class TestStats:

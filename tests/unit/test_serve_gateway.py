@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.kpm import KPMConfig, compute_dos
-from repro.lattice import chain, tight_binding_hamiltonian
+from repro.lattice import chain, paper_cubic_hamiltonian, tight_binding_hamiltonian
 from repro.serve import (
     DoSRequest,
     EdfCoalesceScheduler,
@@ -17,6 +17,7 @@ from repro.serve import (
     check_equivalence,
     timed_trace,
 )
+from repro.tune import Autotuner
 
 H = tight_binding_hamiltonian(chain(32))
 CONFIG = KPMConfig(num_moments=16, num_random_vectors=2, seed=3)
@@ -315,6 +316,19 @@ class TestRunTrace:
         assert (metrics.offered, metrics.rejected, metrics.served) == (3, 1, 2)
         direct = compute_dos(H, CONFIG, backend="numpy")
         assert np.array_equal(third.values, direct.density)
+
+    def test_tuned_gateway_serves_dense_arrival(self):
+        dense = paper_cubic_hamiltonian(4, format="dense")
+        arrivals = [
+            TimedArrival(at=0.1, request=DoSRequest(H, CONFIG)),
+            TimedArrival(at=0.2, request=DoSRequest(dense, CONFIG, tag="dense")),
+        ]
+        gw = gateway(tuner=Autotuner())
+        first, second = gw.run_trace(arrivals)
+        assert first.outcome == second.outcome == "served"
+        assert second.tag == "dense"
+        direct = compute_dos(dense, CONFIG, backend="gpu-sim")
+        assert np.array_equal(second.values, direct.density)
 
     def test_validation(self):
         gw = gateway()

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import FaultError, LaunchError, OutOfMemoryError, ValidationError
 from repro.kpm import KPMConfig, compute_dos, local_dos
 from repro.kpm.green import greens_function
-from repro.lattice import chain, tight_binding_hamiltonian
+from repro.lattice import chain, paper_cubic_hamiltonian, tight_binding_hamiltonian
 from repro.serve import (
     DoSRequest,
     GreenRequest,
@@ -14,6 +14,7 @@ from repro.serve import (
     SpectralService,
 )
 from repro.sparse import CSRMatrix
+from repro.tune import Autotuner
 
 
 class FlakyEngine:
@@ -95,6 +96,56 @@ class TestBitIdentity:
         result = response.to_dos_result()
         assert np.array_equal(result.density, response.values)
         assert result.integrate() == pytest.approx(1.0, abs=0.05)
+
+
+class TestTunedDenseStorage:
+    """A tuned service converts dense-stored operators like any other."""
+
+    CONFIG = KPMConfig(num_moments=32, num_random_vectors=4)
+
+    @staticmethod
+    def _requests(hamiltonian, config):
+        return [
+            DoSRequest(hamiltonian, config),
+            GreenRequest(hamiltonian, energies=(-0.5, 0.0, 0.5), config=config),
+            LDoSRequest(hamiltonian, site=3, config=config),
+        ]
+
+    @staticmethod
+    def _assert_same_answer(response, reference):
+        assert response.outcome == reference.outcome == "served"
+        assert response.values.tobytes() == reference.values.tobytes()
+        assert response.energies.tobytes() == reference.energies.tobytes()
+        moments = getattr(response.moments, "mu", response.moments)
+        expected = getattr(reference.moments, "mu", reference.moments)
+        assert np.asarray(moments).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("storage", ["operator", "ndarray"])
+    def test_dense_requests_match_untuned(self, storage):
+        hamiltonian = paper_cubic_hamiltonian(4, format="dense")
+        if storage == "ndarray":
+            hamiltonian = hamiltonian.to_dense()
+        tuned = SpectralService(("gpu-sim",), tuner=Autotuner()).serve(
+            self._requests(hamiltonian, self.CONFIG)
+        )
+        untuned = SpectralService(("gpu-sim",)).serve(
+            self._requests(hamiltonian, self.CONFIG)
+        )
+        for response, reference in zip(tuned, untuned):
+            self._assert_same_answer(response, reference)
+
+    def test_flush_answers_csr_then_dense(self):
+        csr = paper_cubic_hamiltonian(4, format="csr")
+        dense = paper_cubic_hamiltonian(4, format="dense")
+        service = SpectralService(("gpu-sim",), tuner=Autotuner())
+        service.submit(DoSRequest(csr, self.CONFIG))
+        service.submit(DoSRequest(dense, self.CONFIG))
+        first, second = service.flush()
+        [reference] = SpectralService(("gpu-sim",)).serve(
+            [DoSRequest(dense, self.CONFIG)]
+        )
+        assert first.outcome == "served"
+        self._assert_same_answer(second, reference)
 
 
 class TestSchedulingAndMetrics:

@@ -10,7 +10,7 @@ from repro.gpu import TESLA_C2050
 from repro.kpm import KPMConfig, rescale_operator
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 from repro.obs import Tracer
-from repro.sparse import CSRMatrix, ELLMatrix, structure_fingerprint
+from repro.sparse import CSRMatrix, DenseOperator, ELLMatrix, structure_fingerprint
 from repro.tune import (
     DEFAULT_BLOCK_CANDIDATES,
     Autotuner,
@@ -266,6 +266,17 @@ class TestPrepareOperator:
         dense = tuner.prepare_operator(csr, make_choice(format="dense"))
         assert isinstance(dense, np.ndarray)
         np.testing.assert_array_equal(dense, csr.to_dense())
+
+    @pytest.mark.parametrize("storage", ["operator", "ndarray"])
+    @pytest.mark.parametrize(
+        "fmt, stored", [("csr", CSRMatrix), ("csr-vector", CSRMatrix), ("ell", ELLMatrix)]
+    )
+    def test_dense_storage_converts(self, storage, fmt, stored):
+        dense = tight_binding_hamiltonian(chain(6), format="csr").to_dense()
+        operator = DenseOperator(dense) if storage == "operator" else dense
+        out = Autotuner().prepare_operator(operator, make_choice(format=fmt))
+        assert isinstance(out, stored)
+        np.testing.assert_array_equal(out.to_dense(), dense)
 
     def test_no_op_when_storage_matches(self):
         csr = tight_binding_hamiltonian(chain(6), format="csr")
