@@ -2,8 +2,7 @@
 
 The paper's decomposition launches ``num_blocks = ceil(R*S / BLOCK_SIZE)``
 thread blocks; every launch geometry in the library must flow through
-:func:`repro.gpukpm.stats.plan_grid` /
-:func:`repro.gpukpm.tune_block_size` rather than hard-coding dimensions,
+:func:`repro.gpukpm.stats.plan_grid` rather than hard-coding dimensions,
 and block sizes must be positive powers of two (the shared-memory
 reduction trees and warp-multiple occupancy math both assume it —
 enforced at runtime by :func:`repro.util.validation.check_power_of_two`).
@@ -66,7 +65,7 @@ class LaunchContractRule(Rule):
         "paper's launch geometry: block sizes must be positive powers "
         "of two (the shared-memory reduction trees and warp-occupancy "
         "math assume it) and grids must come from the planning layer "
-        "(plan_grid / tune_block_size), never integer literals. A "
+        "(plan_grid), never integer literals. A "
         "block= argument passes as a power-of-two literal, any "
         "expression mentioning block_size, or a check_power_of_two() "
         "call; a grid= argument passes as any non-literal expression."

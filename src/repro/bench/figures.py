@@ -32,9 +32,10 @@ from repro.cluster import (
 )
 from repro.cpu import CORE_I7_930, CpuSpec, estimate_cpu_kpm_seconds
 from repro.gpu.spec import TESLA_C2050, GpuSpec
-from repro.gpukpm import estimate_gpu_kpm_seconds, tune_block_size, uniform_csr_model
+from repro.gpukpm import estimate_gpu_kpm_seconds, uniform_csr_model
 from repro.kpm import KPMConfig, compute_dos, rescale_operator
 from repro.lattice import cubic, tight_binding_hamiltonian
+from repro.tune import Autotuner
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -221,6 +222,22 @@ def fig8(
 # ----------------------------------------------------------------------
 # Ablations (DESIGN.md §5)
 # ----------------------------------------------------------------------
+#: Every power-of-two BLOCK_SIZE up to the Fermi block limit; unlike the
+#: autotuner's default grid the ablations also price the edges 8 and 1024.
+_ABLATION_BLOCK_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+def _dense_block_sweep(gpu: GpuSpec, dimension: int, config: KPMConfig):
+    """The paper's dense sweep priced at every BLOCK_SIZE: ``(best, points)``.
+
+    ``points`` are in BLOCK_SIZE order; candidates above the device
+    limit are skipped.
+    """
+    tuner = Autotuner(gpu, formats=("dense",), block_candidates=_ABLATION_BLOCK_SIZES)
+    points = tuner.sweep(np.eye(dimension), config)
+    return points[0], sorted(points, key=lambda p: p.block_size)
+
+
 def block_size_ablation(
     *,
     num_moments: int = 512,
@@ -238,15 +255,15 @@ def block_size_ablation(
     """
     config_large = PAPER_FIG5_CONFIG.with_updates(num_moments=num_moments)
     config_small = PAPER_FIG78_CONFIG.with_updates(num_moments=num_moments)
-    best_large, points_large = tune_block_size(gpu, 1000, config_large)
-    best_small, points_small = tune_block_size(gpu, 128, config_small)
+    best_large, points_large = _dense_block_sweep(gpu, 1000, config_large)
+    best_small, points_small = _dense_block_sweep(gpu, 128, config_small)
     small_by_bs = {p.block_size: p for p in points_small}
     rows = [
         (
             p.block_size,
-            p.num_blocks,
+            -(-config_large.total_vectors // p.block_size),
             p.modeled_seconds,
-            small_by_bs[p.block_size].num_blocks,
+            -(-config_small.total_vectors // p.block_size),
             small_by_bs[p.block_size].modeled_seconds,
         )
         for p in points_large
@@ -346,7 +363,7 @@ def multigpu_ablation(
             gpu, dimension, base, count, interconnect=interconnect
         )
         vectors_per_device = -(-base.total_vectors // count)
-        tuned_best, _ = tune_block_size(
+        tuned_best, _ = _dense_block_sweep(
             gpu,
             dimension,
             base.with_updates(

@@ -38,6 +38,24 @@ _INDEX_BYTES = 8
 _RNG_FLOPS_PER_ELEMENT = 4.0
 
 
+def _matvec_terms(dim: int, precision: str, nnz: int | None) -> tuple[int, float, int]:
+    """``(matrix_bytes, flops, bytes_moved)`` of one ``H~ @ x``.
+
+    ``nnz=None`` is the dense sweep (the paper's measured configuration);
+    otherwise the CSR arrays of ``nnz`` stored entries.
+    """
+    item = _FLOAT_BYTES if precision == "double" else 4
+    vector_bytes = dim * item
+    if nnz is None:
+        matrix_bytes = dim * dim * item
+        # stream H~, read x, write y
+        return matrix_bytes, 2.0 * dim * dim, matrix_bytes + 2 * vector_bytes
+    nnz = check_positive_int(nnz, "nnz")
+    matrix_bytes = nnz * (item + _INDEX_BYTES) + (dim + 1) * _INDEX_BYTES
+    # values+indices stream, gathered x reads, result writes
+    return matrix_bytes, 2.0 * nnz, matrix_bytes + nnz * item + vector_bytes
+
+
 def cpu_kpm_breakdown(
     spec: CpuSpec,
     dimension: int,
@@ -71,17 +89,7 @@ def cpu_kpm_breakdown(
     item = _FLOAT_BYTES if config.precision == "double" else 4
 
     vector_bytes = dim * item
-    if nnz is None:
-        matrix_bytes = dim * dim * item
-        matvec_flops = 2.0 * dim * dim
-        matvec_bytes = matrix_bytes + 2 * vector_bytes  # stream H~, read x, write y
-    else:
-        nnz = check_positive_int(nnz, "nnz")
-        matrix_bytes = nnz * (item + _INDEX_BYTES) + (dim + 1) * _INDEX_BYTES
-        matvec_flops = 2.0 * nnz
-        # values+indices stream, gathered x reads, result writes
-        matvec_bytes = matrix_bytes + nnz * item + vector_bytes
-
+    matrix_bytes, matvec_flops, matvec_bytes = _matvec_terms(dim, config.precision, nnz)
     footprint = matrix_bytes + 4 * vector_bytes
 
     random_seconds = vectors * phase_time(

@@ -24,8 +24,7 @@ socket rather than one core.
 
 from __future__ import annotations
 
-from repro.cpu.backend import cpu_kpm_breakdown
-from repro.cpu.costmodel import bandwidth_for_footprint
+from repro.cpu.backend import _matvec_terms, cpu_kpm_breakdown
 from repro.cpu.spec import CORE_I7_930, CpuSpec
 from repro.errors import ValidationError
 from repro.kpm.config import KPMConfig
@@ -77,16 +76,7 @@ def estimate_parallel_cpu_kpm_seconds(
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     threads = check_positive_int(threads, "threads")
     breakdown = cpu_kpm_breakdown(spec, dimension, config, nnz=nnz)
-
-    item = 8 if config.precision == "double" else 4
-    if nnz is None:
-        matrix_bytes = dimension * dimension * item
-        matvec_flops = 2.0 * dimension * dimension
-    else:
-        matrix_bytes = nnz * (item + 8) + (dimension + 1) * 8
-        matvec_flops = 2.0 * nnz
-    footprint = matrix_bytes + 4 * dimension * item
-
+    _, matvec_flops, _ = _matvec_terms(dimension, config.precision, nnz)
     compute_seconds = (
         config.total_vectors * (config.num_moments - 1) * matvec_flops / spec.peak_flops
     )

@@ -7,7 +7,7 @@ of the SM's warp slots kept busy.  Low occupancy reduces the device's
 ability to hide memory latency, which the cost model folds into its
 utilization factor.  BLOCK_SIZE tuning (the paper's §V future work)
 is precisely the search over this function — see
-:mod:`repro.gpukpm.blocksize`.
+:class:`repro.tune.Autotuner`.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from repro.gpukpm.spmv import (
     uniform_csr_model,
 )
 from repro.gpukpm.estimator import estimate_gpu_kpm_seconds, gpu_kpm_breakdown
-from repro.gpukpm.blocksize import BlockSizePoint, tune_block_size
 from repro.gpukpm.conductivity_gpu import (
     GpuConductivity,
     estimate_gpu_conductivity_seconds,
@@ -64,8 +63,6 @@ __all__ = [
     "uniform_csr_model",
     "estimate_gpu_kpm_seconds",
     "gpu_kpm_breakdown",
-    "BlockSizePoint",
-    "tune_block_size",
     "GpuConductivity",
     "estimate_gpu_conductivity_seconds",
     "plan_conductivity_memory",

@@ -34,11 +34,11 @@ from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.kernels import DeviceMatrix
 from repro.gpukpm.pipeline import GpuKPM
-from repro.gpukpm.spmv import _itemsize, _matvec_model, uniform_csr_model
+from repro.gpukpm.spmv import _itemsize, _matvec_model
 from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
 from repro.kpm.random_vectors import random_vector
-from repro.sparse import CSRMatrix, as_operator
+from repro.sparse import as_operator
 from repro.timing import TimingReport, WallTimer
 from repro.util.validation import check_positive_int
 
@@ -147,9 +147,8 @@ def plan_conductivity_memory(
 # ----------------------------------------------------------------------
 # Launch-domain contract (rules RA016–RA020): blocks own disjoint
 # vector cells of `plan`, a (2, N, D) stack pair and an (N, N) partial
-# per block; both operators are dense or CSR (the runner never uploads
-# ELL here, so no ell_width is declared and the verifier only tracks
-# the dense/CSR storage behind matvec).
+# per block; each operator is uploaded dense, CSR or ELL, so both
+# declare an ELL width.
 _KPM_CONDUCTIVITY_CONTRACT = KernelContract(
     symbols={
         "D": (1, None),
@@ -157,6 +156,8 @@ _KPM_CONDUCTIVITY_CONTRACT = KernelContract(
         "num_moments": (1, None),
         "nnz": (0, None),
         "a_nnz": (0, None),
+        "ell_width": (0, None),
+        "a_ell_width": (0, None),
     },
     arrays={
         "stacks": ArraySpec(
@@ -169,8 +170,8 @@ _KPM_CONDUCTIVITY_CONTRACT = KernelContract(
         ),
     },
     matrices={
-        "matrix": MatrixSpec("D", "D", nnz="nnz"),
-        "current": MatrixSpec("D", "D", nnz="a_nnz"),
+        "matrix": MatrixSpec("D", "D", nnz="nnz", ell_width="ell_width"),
+        "current": MatrixSpec("D", "D", nnz="a_nnz", ell_width="a_ell_width"),
     },
     partitions={"plan": "num_vectors"},
 )
@@ -278,14 +279,44 @@ def _reduce_conductivity_kernel(ctx, partials, result, vectors_per_block_weighti
 # ----------------------------------------------------------------------
 # Runner + estimator
 # ----------------------------------------------------------------------
+def _launch_terms(spec: GpuSpec, dim: int, config: KPMConfig, spmv, current_spmv):
+    """Grid plan, per-vector charges and footprint of the main launch."""
+    n = config.num_moments
+    item = _itemsize(config.precision)
+    plan = plan_grid(config.total_vectors, config.block_size, spec)
+    pv_stats = per_vector_conductivity_stats(
+        dim,
+        n,
+        spmv=spmv,
+        current_spmv=current_spmv,
+        block_size=plan.block_size,
+        precision=config.precision,
+    )
+    footprint = (
+        plan_conductivity_memory(
+            spec, dim, config, spmv=spmv, current_spmv=current_spmv
+        )["hamiltonian"]
+        + min(plan.num_blocks, spec.sm_count) * 2 * n * dim * item
+    )
+    return plan, pv_stats, footprint
+
+
 class GpuConductivity:
-    """Double-expansion runner on one simulated device."""
+    """Double-expansion runner on one simulated device.
+
+    ``H~`` and the current operator each run in the storage they arrive
+    in (dense, CSR or ELL): like the DoS pipeline, each gets the
+    :class:`~repro.gpukpm.spmv.SpmvModel` of
+    :meth:`GpuKPM.resolve_spmv <repro.gpukpm.GpuKPM.resolve_spmv>` and
+    is uploaded in that storage.
+    """
 
     def __init__(self, spec: GpuSpec = TESLA_C2050):
         if not isinstance(spec, GpuSpec):
             raise ValidationError(f"spec must be a GpuSpec, got {type(spec).__name__}")
         self.spec = spec
         self.last_device: Device | None = None
+        self._pipeline = GpuKPM(spec)
 
     def run(
         self, scaled_operator, current, config: KPMConfig
@@ -301,29 +332,12 @@ class GpuConductivity:
             raise ValidationError("Hamiltonian and current dimensions differ")
         dim = h_op.shape[0]
         n = config.num_moments
-        plan = plan_grid(config.total_vectors, config.block_size, self.spec)
         dtype = np.float64 if config.precision == "double" else np.float32
-        item = _itemsize(config.precision)
-        # CSR is charged as uniform_csr_model; any other storage uploads dense.
-        spmv, current_spmv = [
-            uniform_csr_model(dim, op.nnz_stored, precision=config.precision)
-            if isinstance(op, CSRMatrix)
-            else None
-            for op in (h_op, a_op)
-        ]
-        pv_stats = per_vector_conductivity_stats(
-            dim,
-            n,
-            spmv=spmv,
-            current_spmv=current_spmv,
-            block_size=plan.block_size,
-            precision=config.precision,
+        spmv, current_spmv = (
+            self._pipeline.resolve_spmv(op, config)[0] for op in (h_op, a_op)
         )
-        footprint = (
-            plan_conductivity_memory(
-                self.spec, dim, config, spmv=spmv, current_spmv=current_spmv
-            )["hamiltonian"]
-            + min(plan.num_blocks, self.spec.sm_count) * 2 * n * dim * item
+        plan, pv_stats, footprint = _launch_terms(
+            self.spec, dim, config, spmv, current_spmv
         )
         reduce_stats = conductivity_reduce_stats(
             n, plan.num_blocks, precision=config.precision
@@ -333,11 +347,9 @@ class GpuConductivity:
             device = Device(self.spec)
             self.last_device = device
             try:
-                matrix = GpuKPM._upload_matrix(
-                    device, h_op, _matvec_model(spmv, dim, item), dim, dtype, name="H"
-                )
+                matrix = GpuKPM._upload_matrix(device, h_op, spmv, dim, dtype, name="H")
                 current_dev = GpuKPM._upload_matrix(
-                    device, a_op, _matvec_model(current_spmv, dim, item), dim, dtype, name="A"
+                    device, a_op, current_spmv, dim, dtype, name="A"
                 )
                 stacks = device.alloc((plan.num_blocks, 2, n, dim), dtype=dtype, name="stacks")
                 partials = device.alloc((plan.num_blocks, n, n), dtype=dtype, name="partials")
@@ -384,16 +396,7 @@ class GpuConductivity:
                 for array in device.memory.live_arrays:
                     array.free()
 
-        breakdown = dict(device.profiler.seconds_by_kernel())
-        breakdown["setup"] = device.profiler.setup_seconds
-        breakdown["transfer"] = device.profiler.transfer_seconds
-        report = TimingReport(
-            backend="gpu-sim",
-            device=self.spec.name,
-            modeled_seconds=device.modeled_seconds,
-            wall_seconds=timer.seconds,
-            breakdown=breakdown,
-        )
+        report = self._pipeline._timing_report(device, timer.seconds)
         return host_result.astype(np.float64), report
 
 
@@ -408,19 +411,16 @@ def estimate_gpu_conductivity_seconds(
     """Analytic modeled time of :meth:`GpuConductivity.run` (exact match).
 
     ``spmv`` and ``current_spmv`` describe the two stored matrices as in
-    :func:`per_vector_conductivity_stats`; the runner charges CSR
-    operators as :func:`~repro.gpukpm.spmv.uniform_csr_model`.
+    :func:`per_vector_conductivity_stats`; the runner charges each
+    operator with ``spmv_model_for(op, default_spmv_format(op))``.
     """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     dim = check_positive_int(dimension, "dimension")
     n = config.num_moments
-    plan = plan_grid(config.total_vectors, config.block_size, spec)
     item = _itemsize(config.precision)
+    plan, pv_stats, footprint = _launch_terms(spec, dim, config, spmv, current_spmv)
 
-    memory = plan_conductivity_memory(
-        spec, dim, config, spmv=spmv, current_spmv=current_spmv
-    )
     uploads = 0.0
     for model in (spmv, current_spmv):
         uploads += sum(
@@ -428,15 +428,6 @@ def estimate_gpu_conductivity_seconds(
         )
     download = transfer_cost(spec, n * n * item)
 
-    pv_stats = per_vector_conductivity_stats(
-        dim,
-        n,
-        spmv=spmv,
-        current_spmv=current_spmv,
-        block_size=plan.block_size,
-        precision=config.precision,
-    )
-    footprint = memory["hamiltonian"] + min(plan.num_blocks, spec.sm_count) * 2 * n * dim * item
     launch_stats = KernelStats(
         flops=pv_stats.flops * plan.total_vectors,
         gmem_read_bytes=pv_stats.gmem_read_bytes * plan.total_vectors,

@@ -17,7 +17,7 @@ from repro.errors import ValidationError
 from repro.gpu.costmodel import kernel_cost, transfer_cost
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
-from repro.gpukpm.spmv import _matvec_model
+from repro.gpukpm.spmv import _itemsize, _matvec_model
 from repro.gpukpm.stats import (
     plan_grid,
     recursion_launch_stats,
@@ -57,7 +57,7 @@ def gpu_kpm_breakdown(
     total_vectors = config.total_vectors
     num_moments = config.num_moments
     plan = plan_grid(total_vectors, config.block_size, spec)
-    item = 8 if config.precision == "double" else 4
+    item = _itemsize(config.precision)
 
     # Transfers: upload H~ (the model's exact array list), download the
     # mu~ table and the reduced moments — matching the pipeline exactly.

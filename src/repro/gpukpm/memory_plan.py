@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.gpu.spec import GpuSpec
-from repro.gpukpm.spmv import _matvec_model
+from repro.gpukpm.spmv import _itemsize, _matvec_model
 from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
 from repro.util.format import format_bytes
@@ -100,7 +100,7 @@ def plan_memory(
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     dim = check_positive_int(dimension, "dimension")
     plan = plan_grid(config.total_vectors, config.block_size, spec)
-    item = 8 if config.precision == "double" else 4
+    item = _itemsize(config.precision)
     return MemoryPlan(
         matrix_bytes=sum(_matvec_model(spmv, dim, item).upload_bytes),
         workspace_bytes=plan.num_blocks * 4 * dim * item,

@@ -127,6 +127,9 @@ class Gateway(SpectralService):
         ``degrade=False`` always serves full precision, late if need
         be.  The PR 8 bench uses both off as the FIFO baseline the
         goodput gate compares against.
+    tuner:
+        As for :class:`SpectralService`: only each key's storage follows
+        the tuned format; the request's block size is kept.
     """
 
     def __init__(

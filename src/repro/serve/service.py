@@ -59,7 +59,7 @@ from repro.serve.requests import (
     moment_identity_key,
 )
 from repro.serve.scheduler import Batch, FifoCoalesceScheduler, QueuedRequest
-from repro.sparse import as_operator
+from repro.sparse import CSRMatrix, ELLMatrix, as_format, as_operator
 from repro.timing import WallTimer
 
 __all__ = ["OperatorFacts", "OperatorMemo", "SpectralService"]
@@ -163,10 +163,12 @@ class SpectralService:
     tuner:
         Optional :class:`repro.tune.Autotuner` (duck-typed — anything
         with ``choose``/``prepare_operator``).  When set, each key's
-        scaled operator is converted once to the tuned storage format at
-        rescale time, so every engine run, LDoS recursion, and admission
-        price executes/prices that format.  Numerics are unchanged: all
-        formats run the canonical contraction order.
+        scaled operator is re-stored once in the tuned format at rescale
+        time; that storage is all the service applies.  Engines keep the
+        request's block size, and a ``csr-vector`` choice is stored and
+        priced as scalar CSR, so a gpu-sim engine may model more time
+        than ``GpuKPM(tuner=...)``.  Numerics are unchanged: all formats
+        run the canonical contraction order.
     """
 
     def __init__(
@@ -486,9 +488,18 @@ class SpectralService:
             if self.tuner is not None:
                 # Convert once to the tuned storage: engines and the
                 # LDoS host recursion then execute (and admission prices)
-                # that format for every request sharing the key.
-                choice = self.tuner.choose(scaled, config)
-                scaled = self.tuner.prepare_operator(scaled, choice)
+                # that format for every request sharing the key.  A
+                # dense-stored operator is profiled and re-stored from
+                # one CSR copy.
+                sparse = (
+                    scaled
+                    if isinstance(scaled, (CSRMatrix, ELLMatrix))
+                    else as_format(scaled, "csr")
+                )
+                choice = self.tuner.choose(sparse, config)
+                scaled = self.tuner.prepare_operator(
+                    scaled if choice.format == "dense" else sparse, choice
+                )
             cached = scaled_by_identity[key[1]] = (scaled, rescaling)
         return cached
 

@@ -7,9 +7,11 @@ from repro.errors import OutOfMemoryError, ValidationError
 from repro.gpu import TESLA_C2050, Device, tiny_test_device
 from repro.gpukpm import (
     GpuConductivity,
+    default_spmv_format,
     estimate_gpu_conductivity_seconds,
     per_vector_conductivity_stats,
     plan_conductivity_memory,
+    spmv_model_for,
     uniform_csr_model,
 )
 from repro.kpm import (
@@ -19,6 +21,13 @@ from repro.kpm import (
     stochastic_conductivity_moments,
 )
 from repro.lattice import chain, tight_binding_hamiltonian
+from repro.sparse import DenseOperator
+
+STORAGES = {
+    "csr": lambda op: op,
+    "ell": lambda op: op.to_ell(),
+    "dense": lambda op: DenseOperator(op.to_dense()),
+}
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +133,36 @@ class TestTiming:
         _, current, scaled = system
         with pytest.raises(ValidationError):
             GpuConductivity().run(scaled, current, None)
+
+
+class TestStorage:
+    """Each operator runs, is priced and is planned in its own storage."""
+
+    @pytest.mark.parametrize("a_storage", STORAGES)
+    @pytest.mark.parametrize("h_storage", STORAGES)
+    def test_runner_matches_estimator_and_plan(
+        self, system, h_storage, a_storage
+    ):
+        _, current, scaled = system
+        config = KPMConfig(num_moments=16, num_random_vectors=4, block_size=32)
+        h_op = STORAGES[h_storage](scaled)
+        a_op = STORAGES[a_storage](current)
+        models = {
+            name: spmv_model_for(op, default_spmv_format(op))
+            for name, op in (("spmv", h_op), ("current_spmv", a_op))
+        }
+        runner = GpuConductivity()
+        mu, report = runner.run(h_op, a_op, config)
+        estimate = estimate_gpu_conductivity_seconds(
+            TESLA_C2050, scaled.shape[0], config, **models
+        )
+        assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
+        plan = plan_conductivity_memory(
+            TESLA_C2050, scaled.shape[0], config, **models
+        )
+        assert runner.last_device.memory.peak_bytes == sum(plan.values())
+        reference, _ = GpuConductivity().run(scaled, current, config)
+        assert mu.tobytes() == reference.tobytes()
 
 
 class TestBuffersFreedOnError:

@@ -1,4 +1,4 @@
-"""Unit tests for repro.gpukpm.pipeline, estimator, and blocksize."""
+"""Unit tests for repro.gpukpm.pipeline and estimator."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.gpukpm import (
     gpu_kpm_breakdown,
     plan_memory,
     spmv_model_for,
-    tune_block_size,
 )
 from repro.kpm import KPMConfig, get_engine, rescale_operator, stochastic_moments
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
@@ -161,35 +160,6 @@ class TestEngine:
         assert report.backend == "gpu-sim"
         assert report.device == "NVIDIA Tesla C2050"
         assert data.dimension == scaled_cube.shape[0]
-
-
-class TestTuneBlockSize:
-    def test_returns_best_and_sweep(self):
-        config = KPMConfig(num_random_vectors=64, num_realizations=1, num_moments=32)
-        best, points = tune_block_size(TESLA_C2050, 128, config)
-        assert best in points
-        assert best.modeled_seconds == min(p.modeled_seconds for p in points)
-
-    def test_oversized_candidates_skipped(self):
-        config = KPMConfig(num_random_vectors=8, num_realizations=1, num_moments=8)
-        _, points = tune_block_size(
-            TESLA_C2050, 64, config, candidates=(128, 4096)
-        )
-        assert [p.block_size for p in points] == [128]
-
-    def test_no_feasible_candidates(self):
-        config = KPMConfig(num_random_vectors=8, num_realizations=1)
-        with pytest.raises(ValidationError):
-            tune_block_size(TESLA_C2050, 64, config, candidates=(99999,))
-
-    def test_wide_blocks_penalized_for_small_vectors(self):
-        # D=128: BLOCK_SIZE=512 idles 3/4 of each block.
-        config = KPMConfig(num_random_vectors=1792, num_realizations=1, num_moments=64)
-        _, points = tune_block_size(
-            TESLA_C2050, 128, config, candidates=(128, 512)
-        )
-        by_bs = {p.block_size: p.modeled_seconds for p in points}
-        assert by_bs[512] > 2.0 * by_bs[128]
 
 
 class TestResumableGpu:

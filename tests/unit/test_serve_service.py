@@ -147,6 +147,25 @@ class TestTunedDenseStorage:
         assert first.outcome == "served"
         self._assert_same_answer(second, reference)
 
+    @pytest.mark.parametrize("storage, conversions", [("dense", 1), ("csr", 0)])
+    def test_converts_dense_storage_once_per_key(
+        self, monkeypatch, storage, conversions
+    ):
+        # The tuner profiles and the service re-stores the same CSR copy.
+        calls = []
+        from_dense = CSRMatrix.from_dense.__func__
+
+        def counting(cls, dense, **kwargs):
+            calls.append(dense.shape)
+            return from_dense(cls, dense, **kwargs)
+
+        monkeypatch.setattr(CSRMatrix, "from_dense", classmethod(counting))
+        hamiltonian = paper_cubic_hamiltonian(6, format=storage)
+        service = SpectralService(("gpu-sim",), tuner=Autotuner())
+        [response] = service.serve([DoSRequest(hamiltonian, self.CONFIG)])
+        assert response.outcome == "served"
+        assert len(calls) == conversions
+
 
 class TestSchedulingAndMetrics:
     def test_responses_in_submission_order(self, chain_csr, cube4_csr, small_config):

@@ -24,6 +24,11 @@ from repro.tune.cache import SCHEMA_VERSION
 from repro.tune.cli import main as tune_main
 
 
+#: The dense-only grid of the block-size and multi-GPU ablations.
+DENSE_ONLY = {"formats": ("dense",), "block_candidates": (8, 16, 32, 64, 128, 256, 512, 1024)}
+GRIDS = pytest.mark.parametrize("grid", [{}, DENSE_ONLY], ids=["default", "dense-only"])
+
+
 def make_choice(**overrides):
     base = dict(
         format="ell", block_size=128, vector_width=1, modeled_seconds=0.25
@@ -186,6 +191,41 @@ class TestSweep:
     def test_config_validation(self, hamiltonian):
         with pytest.raises(ValidationError):
             Autotuner().sweep(hamiltonian, {"num_moments": 8})
+
+    @GRIDS
+    def test_best_is_the_minimum(self, hamiltonian, grid):
+        config = KPMConfig(num_random_vectors=64, num_realizations=1, num_moments=32)
+        points = Autotuner(**grid).sweep(hamiltonian, config)
+        assert points[0].modeled_seconds == min(p.modeled_seconds for p in points)
+
+    @GRIDS
+    def test_oversized_candidates_skipped(self, hamiltonian, grid):
+        tuner = Autotuner(**{**grid, "block_candidates": (128, 4096)})
+        config = KPMConfig(num_random_vectors=8, num_realizations=1, num_moments=8)
+        assert {p.block_size for p in tuner.sweep(hamiltonian, config)} == {128}
+
+    @GRIDS
+    def test_no_feasible_candidate_raises(self, hamiltonian, grid):
+        tuner = Autotuner(**{**grid, "block_candidates": (2048,)})
+        with pytest.raises(ValidationError, match="no feasible"):
+            tuner.sweep(hamiltonian, KPMConfig())
+
+    @GRIDS
+    def test_wide_blocks_penalized_for_small_vectors(self, grid):
+        # D=128: BLOCK_SIZE=512 idles 3/4 of each block in every format,
+        # and the dense sweep, whose matvec dominates, pays over 2x.
+        operator = tight_binding_hamiltonian(chain(128), format="csr")
+        tuner = Autotuner(**{**grid, "block_candidates": (128, 512)})
+        config = KPMConfig(num_random_vectors=1792, num_realizations=1, num_moments=64)
+        seconds = {
+            (p.format, p.vector_width, p.block_size): p.modeled_seconds
+            for p in tuner.sweep(operator, config)
+        }
+        assert {fmt for fmt, _, _ in seconds} >= {"dense"}
+        for (fmt, width, block), wide in seconds.items():
+            if block == 512:
+                narrow = seconds[(fmt, width, 128)]
+                assert wide > (2.0 if fmt == "dense" else 1.0) * narrow
 
 
 class TestChoose:
