@@ -388,6 +388,8 @@ class Interp:
     def _exec_for(self, node: ast.For) -> None:
         iter_val = self.eval(node.iter)
         binding = Opaque()
+        # A loop symbol's bounds hold only inside the body.
+        pre_domain = self.domain
         if isinstance(iter_val, _RangeVal):
             if isinstance(node.target, ast.Name):
                 sym = f"{node.target.id}#{node.lineno}"
@@ -430,6 +432,7 @@ class Interp:
         self.env = dict(cur)
         self.exec_block(node.body)
         self.env = _join_env(pre_env, self.env)
+        self.domain = pre_domain
         if node.orelse:
             self.exec_block(node.orelse)
 

@@ -43,7 +43,6 @@ from repro.gpu.contracts import ArraySpec, KernelContract, LaunchMode, MatrixSpe
 from repro.gpu.kernel import kernel
 from repro.kpm.random_vectors import random_vector
 from repro.sparse.sweep import (
-    build_sweep_plan,
     csr_sweep_matmat,
     csr_sweep_matvec,
     dense_sweep_matmat,
@@ -66,11 +65,14 @@ class DeviceMatrix:
     choice also selects the cost accounting (dense sweep vs CSR gather
     vs padded ELL stream) through the pipeline's ``SpmvModel``.
 
-    CSR storage always takes the *host-side* ``host_indptr`` and builds
-    its canonical :class:`~repro.sparse.sweep.SweepPlan` from it here,
-    so no plan is ever read from device memory (the device sanitizer
-    tracks every device-buffer access).  ``GpuKPM._upload_matrix`` is
-    the one upload that builds these.
+    CSR and ELL storage take ``plan``, the host operator's checked
+    :class:`~repro.sparse.sweep.SweepPlan`, and every sweep follows it:
+    no upload rebuilds a pattern, no sweep scans one, and no pattern is
+    read from device memory (the device sanitizer tracks every
+    device-buffer access).  The device index buffers hold the same
+    pattern for the transfers and the memory plan.  Each product reads
+    only the device values.  ``GpuKPM._upload_matrix`` is the one
+    upload that builds these.
     """
 
     def __init__(
@@ -83,31 +85,30 @@ class DeviceMatrix:
         ell_data=None,
         ell_indices=None,
         shape=None,
-        host_indptr=None,
+        plan=None,
         nnz=None,
     ):
         self.dense = None
         self.csr = None
         self.ell = None
-        self._plan = None
+        self.plan = plan
         if dense is not None:
             self.dense = dense
             self.shape = dense.shape
             self.nnz = None
             self.format = "dense"
         elif csr_data is not None:
-            if any(arg is None for arg in (csr_indices, csr_indptr, shape, host_indptr)):
+            if any(arg is None for arg in (csr_indices, csr_indptr, shape, plan)):
                 raise DeviceError(
-                    "CSR DeviceMatrix needs data, indices, indptr, shape, host_indptr"
+                    "CSR DeviceMatrix needs data, indices, indptr, shape, plan"
                 )
             self.csr = (csr_data, csr_indices, csr_indptr)
             self.shape = shape
             self.nnz = int(csr_data.shape[0])
             self.format = "csr"
-            self._plan = build_sweep_plan(host_indptr, shape[0])
         elif ell_data is not None:
-            if ell_indices is None or shape is None:
-                raise DeviceError("ELL DeviceMatrix needs data, indices, shape")
+            if any(arg is None for arg in (ell_indices, shape, plan)):
+                raise DeviceError("ELL DeviceMatrix needs data, indices, shape, plan")
             self.ell = (ell_data, ell_indices)
             self.shape = shape
             self.nnz = int(nnz) if nnz is not None else None
@@ -120,20 +121,16 @@ class DeviceMatrix:
         if self.dense is not None:
             return dense_sweep_matvec(self.dense.data, x)
         if self.csr is not None:
-            data, indices, _ = self.csr
-            return csr_sweep_matvec(data.data, indices.data, self._plan, x)
-        ell_data, ell_indices = self.ell
-        return ell_sweep_matvec(ell_data.data, ell_indices.data, x)
+            return csr_sweep_matvec(self.csr[0].data, self.plan, x)
+        return ell_sweep_matvec(self.ell[0].data, self.plan, x)
 
     def matmat(self, block: np.ndarray) -> np.ndarray:
         """``H~ @ B`` for a ``(D, k)`` panel; column j equals ``matvec(B[:, j])``."""
         if self.dense is not None:
             return dense_sweep_matmat(self.dense.data, block)
         if self.csr is not None:
-            data, indices, _ = self.csr
-            return csr_sweep_matmat(data.data, indices.data, self._plan, block)
-        ell_data, ell_indices = self.ell
-        return ell_sweep_matmat(ell_data.data, ell_indices.data, block)
+            return csr_sweep_matmat(self.csr[0].data, self.plan, block)
+        return ell_sweep_matmat(self.ell[0].data, self.plan, block)
 
     def free(self) -> None:
         """Release the device buffers backing this matrix."""
@@ -150,9 +147,9 @@ class DeviceMatrix:
 # Launch-domain contract of the recursion kernel (rules RA016–RA020).
 # The four modes close the `resume_state is None` / `state_out is None`
 # branches; cold modes pin start_moment = 0 because the host launches
-# them that way (the cold prologue writes mu~ columns 0 and 1 and its
-# loop starts at order 2, so column `order - start_moment` only lines
-# up at start_moment 0).
+# them that way (the cold prologue fills moment columns 0 and 1 and
+# its loop starts at order 2, so column `order - start_moment` only
+# lines up at start_moment 0).
 _KPM_RECURSION_CONTRACT = KernelContract(
     symbols={
         "D": (1, None),
@@ -207,19 +204,6 @@ _KPM_RECURSION_CONTRACT = KernelContract(
 )
 
 
-def _row_dots(r0: np.ndarray, panel: np.ndarray) -> np.ndarray:
-    """``r0[k] @ panel[:, k]`` for each vector ``k`` of a block.
-
-    One stacked ``np.matmul`` over C-contiguous ``(B, D)`` rows: each
-    product is the contiguous BLAS dot that a 1-D ``r0 @ y`` calls, so
-    every vector's moment keeps the bits of the single-vector recursion.
-    ``np.einsum`` or a dot over the strided panel columns can round
-    differently.
-    """
-    rows = np.ascontiguousarray(panel.T)
-    return np.matmul(r0[:, None, :], rows[:, :, None])[:, 0, 0]
-
-
 @kernel("kpm_recursion", pow2_block=True, contract=_KPM_RECURSION_CONTRACT)
 def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline validates the launch
     ctx,
@@ -241,12 +225,21 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
 
     The block's ``B`` vectors advance in lockstep: ``r0`` holds their
     start vectors ``|r>`` as ``(B, D)`` rows, and ``prev``/``cur`` hold
-    ``r_{n-2}``, ``r_{n-1}`` as ``(D, B)`` panels, so each order is one
-    :meth:`DeviceMatrix.matmat` sweep, an in-place update
-    (``nxt *= 2; nxt -= prev``, which rounds as ``2 * y - prev`` does)
-    and one stacked dot per vector.  The panels are the emulator's host
-    scratch, like every matvec output; the cost model still prices a
-    block that walks its vectors through the paper's 4-vector workspace
+    ``r_{n-2}``, ``r_{n-1}`` as ``(D, B)`` panels.  Each order does five
+    things: one :meth:`DeviceMatrix.matmat` sweep of the panel, the
+    in-place update ``nxt *= 2; nxt -= prev`` (which rounds as
+    ``2 * y - prev`` does), one copy of the panel into a ``(B, D)`` rows
+    buffer, one stacked ``np.matmul`` of ``r0`` with those rows into a
+    dots buffer, and a store of the dots into a host-local ``(B, width)``
+    moment array.  The rows, dots and moment buffers are allocated once
+    per block, and the block writes its moment rows to ``mu~`` once,
+    after the loop.  Each stacked product is the contiguous BLAS dot
+    that a 1-D ``r0 @ y`` calls, so every vector's moment keeps the bits
+    of the single-vector recursion; ``np.einsum`` or a dot over the
+    strided panel columns can round differently.  All of these are the
+    emulator's host scratch, like every matvec output; the cost model
+    still prices a block that walks its vectors through the paper's
+    4-vector workspace and stores each moment to global memory
     (Sec. III-B2, Fig. 4a).
 
     ``first_vector`` offsets the global vector numbering so a device
@@ -254,8 +247,8 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
     exactly the same random streams as a single device would.
 
     A prologue seeds ``prev``/``cur``, then one step loop runs the
-    orders ``first..num_moments-1`` and writes ``mu~`` at column
-    ``order - start_moment``.  The cold prologue stores ``mu~_0`` and
+    orders ``first..num_moments-1`` into moment column
+    ``order - start_moment``.  The cold prologue computes ``mu~_0`` and
     ``mu~_1`` from ``(r_0, H r_0)`` and starts the loop at order 2.
     Resume mode (``start_moment >= 2`` with ``resume_state``) loads the
     uploaded per-vector state ``(r_{start-2}, r_{start-1})`` instead,
@@ -271,7 +264,7 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
     dim = matrix.shape[0]
     # Shared memory: the block's dot-product reduction tree.
     ctx.shared_alloc(ctx.threads_per_block * 8)
-    # Charged up front: a cold launch at N = 1 returns after mu~_0.
+    # Charged up front: a cold launch at N = 1 computes only mu~_0.
     ctx.charge(
         flops=per_vector_stats.flops * len(block_vectors),
         gmem_read=per_vector_stats.gmem_read_bytes * len(block_vectors),
@@ -295,13 +288,21 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
             )
         )
     r0 = np.array(starts, dtype=mu_tilde.dtype)
+    # Host scratch, allocated once per block: the panel's rows, one dot
+    # per vector, and the block's moment rows.
+    rows = np.empty_like(r0)
+    dots = np.empty((len(block_vectors), 1, 1), dtype=r0.dtype)
+    moments = np.empty((len(block_vectors), num_moments - start_moment), dtype=r0.dtype)
+    lhs, rhs, dot = r0[:, None, :], rows[:, :, None], dots[:, 0, 0]
     if resume_state is None:
-        mu_tilde.data[block_vectors, 0] = _row_dots(r0, r0.T)
-        if num_moments == 1:
-            return
-        prev = r0.T                # r_0
-        cur = matrix.matmat(prev)  # r_1
-        mu_tilde.data[block_vectors, 1] = _row_dots(r0, cur)
+        np.matmul(lhs, r0[:, :, None], out=dots)
+        moments[:, 0] = dot
+        prev = cur = r0.T  # r_0; r_1 follows when N > 1
+        if num_moments > 1:
+            cur = matrix.matmat(prev)  # r_1
+            rows[...] = cur.T
+            np.matmul(lhs, rhs, out=dots)
+            moments[:, 1] = dot
         first = 2
     else:
         # The checkpointed pair (r_{start-2}, r_{start-1}).
@@ -312,8 +313,11 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
         nxt = matrix.matmat(cur)
         nxt *= 2.0
         nxt -= prev
-        mu_tilde.data[block_vectors, order - start_moment] = _row_dots(r0, nxt)
+        rows[...] = nxt.T
+        np.matmul(lhs, rhs, out=dots)
+        moments[:, order - start_moment] = dot
         prev, cur = cur, nxt
+    mu_tilde.data[block_vectors] = moments
     if state_out is not None:
         state_out.data[block_vectors, 0] = prev.T  # r_{N-2}
         state_out.data[block_vectors, 1] = cur.T   # r_{N-1}

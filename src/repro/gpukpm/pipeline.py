@@ -39,7 +39,7 @@ from repro.gpukpm.stats import (
 from repro.kpm.config import KPMConfig
 from repro.kpm.moments import MomentData, _check_extension, _run_key
 from repro.trace.tracer import current_tracer
-from repro.sparse import as_format, as_operator
+from repro.sparse import CSRMatrix, ELLMatrix, as_format, as_operator
 from repro.timing import TimingReport, WallTimer
 from repro.util.validation import check_positive_int
 
@@ -191,6 +191,19 @@ class GpuKPM:
             config = replace(config, block_size=block_size)
         return model, config
 
+    def _sparse_copy(self, op):
+        """``op``, or one CSR copy of it when a dense-stored ``op`` may run sparse.
+
+        A tuner or a pinned sparse format profiles the operator, and the
+        upload of a sparse choice re-stores it; both read this one copy,
+        so a run converts a dense-stored operator at most once.
+        """
+        if isinstance(op, (CSRMatrix, ELLMatrix)) or self.spmv_format == "dense":
+            return op
+        if self.spmv_format is None and self.tuner is None:
+            return op
+        return as_format(op, "csr")
+
     @staticmethod
     def _upload_matrix(
         device: Device, op, spmv: SpmvModel, dim: int, dtype, *, name: str = "H"
@@ -199,10 +212,12 @@ class GpuKPM:
 
         The one device upload of a matrix: converts host-side through
         :func:`repro.sparse.as_format` when the storage differs (e.g. a
-        CSR operator tuned onto the ELL program), names the buffers
-        ``{name}.*``, and builds a CSR sweep plan from the host row
-        pointer.  The PCIe transfers match ``spmv.upload_bytes`` exactly,
-        which is what the estimator prices.
+        CSR operator tuned onto the ELL program; a CSR or ELL operator
+        already in that storage comes back unchanged), names the buffers
+        ``{name}.*``, and hands the host operator's checked sweep plan
+        to the :class:`DeviceMatrix`, so no upload builds a pattern.
+        The PCIe transfers match ``spmv.upload_bytes`` exactly, which is
+        what the estimator prices.
         """
         fmt = spmv.format
         if fmt in ("csr", "csr-vector"):
@@ -219,7 +234,7 @@ class GpuKPM:
                 csr_indices=d_indices,
                 csr_indptr=d_indptr,
                 shape=csr.shape,
-                host_indptr=csr.indptr,
+                plan=csr.sweep_plan,
             )
         if fmt == "ell":
             ell = as_format(op, "ell")
@@ -235,6 +250,7 @@ class GpuKPM:
                 ell_data=d_data,
                 ell_indices=d_indices,
                 shape=ell.shape,
+                plan=ell.sweep_plan,
                 nnz=ell.nnz_stored,
             )
         d_matrix = device.alloc((dim, dim), dtype=dtype, name=f"{name}.dense")
@@ -378,7 +394,7 @@ class GpuKPM:
         from repro.gpukpm.estimator import estimate_gpu_kpm_seconds
 
         op = as_operator(scaled_operator)
-        spmv, config = self.resolve_spmv(op, config)
+        spmv, config = self.resolve_spmv(self._sparse_copy(op), config)
         return estimate_gpu_kpm_seconds(self.spec, op.shape[0], config, spmv=spmv)
 
     def run_partition(
@@ -459,7 +475,8 @@ class GpuKPM:
                 f"{first_vector}, {num_vectors}"
             )
         op = as_operator(scaled_operator)
-        spmv, config = self.resolve_spmv(op, config)
+        sparse = self._sparse_copy(op)
+        spmv, config = self.resolve_spmv(sparse, config)
         self.last_spmv = spmv
         dim = op.shape[0]
         num_moments = config.num_moments
@@ -517,7 +534,9 @@ class GpuKPM:
             try:
                 # --- upload the Hamiltonian ---------------------------------
                 with tracer.device_span("gpu.upload", device):
-                    matrix = self._upload_matrix(device, op, spmv, dim, dtype)
+                    matrix = self._upload_matrix(
+                        device, op if spmv.format == "dense" else sparse, spmv, dim, dtype
+                    )
 
                     # --- workspace + state buffers (paper Sec. III-B2) ------
                     # The modeled blocks walk their vectors through this

@@ -10,9 +10,10 @@ contraction order* of :mod:`repro.sparse.sweep` — per row, a strict
 left-to-right accumulation over ascending stored columns — so CSR
 results are bit-identical to the dense and ELL operators holding the
 same matrix, and the autotuner may switch formats freely.  The
-validated row pointer the sweep runs on
-(:class:`repro.sparse.sweep.SweepPlan`) is built lazily on first use
-and cached on the instance.
+constructor checks the sparsity pattern once into a
+:class:`repro.sparse.sweep.SweepPlan`; ``indptr`` and ``indices`` are
+that plan's read-only arrays, so the pattern every sweep follows cannot
+change after the check.  The values (``data``) stay writable.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class CSRMatrix(_CheckedProducts):
         ``(n_rows, n_cols)``.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_sweep_plan")
+    __slots__ = ("data", "shape", "_plan")
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int]):
         indptr = np.asarray(indptr, dtype=np.int64).ravel()
@@ -91,16 +92,13 @@ class CSRMatrix(_CheckedProducts):
                 "indices/data length must equal indptr[-1]: "
                 f"{indices.shape[0]}, {data.shape[0]} vs {int(indptr[-1])}"
             )
-        if np.any(np.diff(indptr) < 0):
-            raise ValidationError("indptr must be non-decreasing")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= n_cols:
-                raise ValidationError("column index out of range")
+        plan = build_sweep_plan(indptr, indices, (n_rows, n_cols))
+        if plan.nnz:
             # Strictly increasing within each row <=> the only places where
             # the flat index sequence may decrease are row boundaries.
-            decreases = np.flatnonzero(np.diff(indices) <= 0) + 1
+            decreases = np.flatnonzero(np.diff(plan.indices) <= 0) + 1
             if decreases.size:
-                row_starts = set(indptr[1:-1].tolist())
+                row_starts = set(plan.indptr[1:-1].tolist())
                 bad = [int(i) for i in decreases if int(i) not in row_starts]
                 if bad:
                     raise ValidationError(
@@ -109,11 +107,9 @@ class CSRMatrix(_CheckedProducts):
                     )
         if data.size and not np.all(np.isfinite(data)):
             raise ValidationError("data must be finite")
-        self.indptr = indptr
-        self.indices = indices
+        self._plan = plan
         self.data = data
         self.shape = (n_rows, n_cols)
-        self._sweep_plan = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -157,6 +153,21 @@ class CSRMatrix(_CheckedProducts):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def sweep_plan(self):
+        """The checked :class:`repro.sparse.sweep.SweepPlan` of this matrix."""
+        return self._plan
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row pointer, length ``n_rows + 1`` (read-only)."""
+        return self._plan.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Column index of each stored entry (read-only)."""
+        return self._plan.indices
+
     @property
     def nnz_stored(self) -> int:
         """Number of stored entries."""
@@ -233,18 +244,11 @@ class CSRMatrix(_CheckedProducts):
     # ------------------------------------------------------------------
     # Linear algebra (canonical sweep — bit-identical to dense and ELL)
     # ------------------------------------------------------------------
-    @property
-    def sweep_plan(self):
-        """Cached :class:`repro.sparse.sweep.SweepPlan` for this matrix."""
-        if self._sweep_plan is None:
-            self._sweep_plan = build_sweep_plan(self.indptr, self.shape[0])
-        return self._sweep_plan
-
     def _sweep_matvec(self, x) -> np.ndarray:
-        return csr_sweep_matvec(self.data, self.indices, self.sweep_plan, x)
+        return csr_sweep_matvec(self.data, self._plan, x)
 
     def _sweep_matmat(self, block) -> np.ndarray:
-        return csr_sweep_matmat(self.data, self.indices, self.sweep_plan, block)
+        return csr_sweep_matmat(self.data, self._plan, block)
 
     # ------------------------------------------------------------------
     # Transformations
@@ -287,9 +291,7 @@ class CSRMatrix(_CheckedProducts):
         if not np.isfinite(scale) or not np.isfinite(shift):
             raise ValidationError("scale and shift must be finite")
         if shift == 0.0:
-            return CSRMatrix(
-                self.indptr.copy(), self.indices.copy(), self.data * scale, self.shape
-            )
+            return CSRMatrix(self.indptr, self.indices, self.data * scale, self.shape)
         coo = self.to_coo()
         n = self.shape[0]
         diag_idx = np.arange(n, dtype=np.int64)

@@ -10,7 +10,10 @@ classic reason ELL beats CSR on uniform-stencil lattice Hamiltonians
 The padded slots are numerically invisible: the canonical sweep
 (:mod:`repro.sparse.sweep`) absorbs their ``0.0 * x`` products exactly,
 so an :class:`ELLMatrix` produces bit-identical results to the CSR and
-dense operators holding the same matrix.
+dense operators holding the same matrix.  The constructor checks the
+slot pattern once into a :class:`repro.sparse.sweep.SweepPlan` (a
+uniform-width CSR pattern, padding included); ``indices`` is a
+read-only view of that plan's array, while ``data`` stays writable.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ import numpy as np
 
 from repro.errors import ShapeError, ValidationError
 from repro.sparse.csr import CSRMatrix, content_fingerprint
-from repro.sparse.sweep import _CheckedProducts, ell_sweep_matmat, ell_sweep_matvec
+from repro.sparse.sweep import (
+    _CheckedProducts,
+    build_sweep_plan,
+    ell_sweep_matmat,
+    ell_sweep_matvec,
+)
 
 __all__ = ["ELLMatrix"]
 
@@ -42,7 +50,7 @@ class ELLMatrix(_CheckedProducts):
         ``(n_rows, n_cols)``.
     """
 
-    __slots__ = ("data", "indices", "row_nnz", "shape")
+    __slots__ = ("data", "row_nnz", "shape", "_plan")
 
     def __init__(self, data, indices, row_nnz, shape: tuple[int, int]):
         data = np.asarray(data, dtype=np.float64)
@@ -70,9 +78,10 @@ class ELLMatrix(_CheckedProducts):
             raise ValidationError(
                 f"row_nnz entries must lie in [0, width={width}]"
             )
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= n_cols:
-                raise ValidationError("column index out of range")
+        plan = build_sweep_plan(
+            np.arange(n_rows + 1, dtype=np.int64) * width, indices, (n_rows, n_cols)
+        )
+        indices = plan.indices.reshape(data.shape)
         slot = np.arange(width, dtype=np.int64)[None, :]
         stored = slot < row_nnz[:, None]
         if width > 1:
@@ -89,8 +98,8 @@ class ELLMatrix(_CheckedProducts):
             )
         if data.size and not np.all(np.isfinite(data)):
             raise ValidationError("data must be finite")
+        self._plan = plan
         self.data = data
-        self.indices = indices
         self.row_nnz = row_nnz
         self.shape = (n_rows, n_cols)
 
@@ -124,6 +133,16 @@ class ELLMatrix(_CheckedProducts):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def sweep_plan(self):
+        """The checked :class:`repro.sparse.sweep.SweepPlan` of the slots."""
+        return self._plan
+
+    @property
+    def indices(self) -> np.ndarray:
+        """``(n_rows, width)`` column index per slot (read-only)."""
+        return self._plan.indices.reshape(self.shape[0], -1)
+
     @property
     def width(self) -> int:
         """Slots per row (``max_row_nnz`` of the packed matrix)."""
@@ -168,10 +187,10 @@ class ELLMatrix(_CheckedProducts):
     # Linear algebra (canonical sweep — bit-identical to CSR and dense)
     # ------------------------------------------------------------------
     def _sweep_matvec(self, x) -> np.ndarray:
-        return ell_sweep_matvec(self.data, self.indices, x)
+        return ell_sweep_matvec(self.data, self._plan, x)
 
     def _sweep_matmat(self, block) -> np.ndarray:
-        return ell_sweep_matmat(self.data, self.indices, block)
+        return ell_sweep_matmat(self.data, self._plan, block)
 
     # ------------------------------------------------------------------
     # Transformations

@@ -37,11 +37,19 @@ fail.  ELL's row-major ``(rows, W)`` arrays enter the same loop as a
 uniform-width CSR with the padding included, so each padded slot still
 adds its ``0.0 * x[0]`` in place, even for a non-finite ``x[0]``.
 
-The compiled loop does no bounds checking.  A :class:`SweepPlan`
-therefore holds a validated row pointer, the sweeps refuse
-``data``/``indices`` of another length, and every column index must lie
-in ``[0, len(x))`` (one unsigned maximum over the index array) or the
-sweep raises :class:`~repro.errors.ValidationError`.  The dense sweep
+The compiled loop does no bounds checking, so the pattern it follows
+is checked once, when its :class:`SweepPlan` is built: the row pointer
+is non-decreasing inside ``[0, nnz]`` and every column index lies in
+``[0, n_cols)`` (one unsigned maximum over the index array).  The plan
+keeps both arrays as private read-only copies, so no later write can
+invalidate the check.  Each sweep then checks only O(1) facts per call
+and raises :class:`~repro.errors.ValidationError` (or its subclass
+:class:`~repro.errors.ShapeError`) for a plan argument that is not a
+:class:`SweepPlan`, values of another length than ``plan.nnz``, an
+operand that is not 1-D or 2-D, or an operand whose row count is not
+``plan.n_cols``.  The host operators :class:`~repro.sparse.CSRMatrix`
+and :class:`~repro.sparse.ELLMatrix` each own one plan, and the device
+upload hands that same plan to the device matrix.  The dense sweep
 keeps one vectorized multiply-accumulate per column.
 
 **One product surface.**  The host operators (CSR, ELL and dense)
@@ -69,24 +77,35 @@ __all__ = [
 
 
 class SweepPlan:
-    """A CSR row pointer validated for the compiled row loop.
+    """The checked, immutable sparsity pattern of one CSR or ELL matrix.
 
-    ``indptr`` is a private read-only int64 copy of length
-    ``n_rows + 1``, non-decreasing from ``indptr[0] >= 0``, so every
-    row reads positions inside ``[0, nnz)`` with ``nnz = indptr[-1]``.
-    The sweeps refuse ``data``/``indices`` of any other length.
+    ``indptr`` (length ``n_rows + 1``) and ``indices`` (length ``nnz``)
+    are private read-only int64 copies, validated by
+    :func:`build_sweep_plan` for the compiled row loop: the row pointer
+    is non-decreasing from ``indptr[0] >= 0`` to ``nnz = indptr[-1]``,
+    and every column index lies in ``[0, n_cols)``.
     """
 
-    __slots__ = ("n_rows", "nnz", "indptr")
+    __slots__ = ("n_rows", "n_cols", "nnz", "indptr", "indices")
 
-    def __init__(self, indptr: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n_cols: int):
         self.indptr = indptr
+        self.indices = indices
         self.n_rows = indptr.shape[0] - 1
-        self.nnz = int(indptr[-1])
+        self.n_cols = n_cols
+        self.nnz = indices.shape[0]
 
 
-def build_sweep_plan(indptr: np.ndarray, n_rows: int) -> SweepPlan:
-    """Validate a CSR row pointer for the sweeps (see module docstring)."""
+def build_sweep_plan(indptr, indices, shape: tuple[int, int]) -> SweepPlan:
+    """Check a sparsity pattern once for the sweeps (see module docstring).
+
+    ``indices`` holds one column index per stored position in row order;
+    ELL's ``(rows, W)`` slots are read row-major against the row pointer
+    ``arange(rows + 1) * W``.
+    """
+    n_rows, n_cols = (int(n) for n in shape)
+    if n_rows < 0 or n_cols < 0:
+        raise ValidationError(f"shape must be non-negative, got {shape!r}")
     indptr = np.array(indptr, dtype=np.int64)
     if indptr.ndim != 1 or indptr.shape[0] != n_rows + 1:
         raise ShapeError(
@@ -96,84 +115,78 @@ def build_sweep_plan(indptr: np.ndarray, n_rows: int) -> SweepPlan:
         raise ValidationError("indptr must be non-decreasing")
     if indptr[0] < 0:
         raise ValidationError(f"indptr must lie in [0, nnz], got indptr[0]={indptr[0]}")
-    indptr.flags.writeable = False
-    return SweepPlan(indptr)
-
-
-def _row_loop(indptr, data, indices, operand) -> np.ndarray:
-    """Canonical ``A @ operand`` of CSR arrays in scipy's compiled row loop.
-
-    ``data`` and ``indices`` hold one entry per position of ``indptr``
-    (row-major for ELL).  The output starts at ``+0.0``; the loop adds
-    each row's products to it left to right.
-    """
-    dtype = np.result_type(data, operand)
-    data = np.asarray(data, dtype=dtype).reshape(-1)
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    operand = np.asarray(operand, dtype=dtype)
-    n_rows, n_cols = indptr.shape[0] - 1, operand.shape[0]
+    indices = np.array(indices, dtype=np.int64).reshape(-1)
+    if indices.shape[0] != indptr[-1]:
+        raise ShapeError(
+            f"indices must have length nnz=indptr[-1]={int(indptr[-1])}, "
+            f"got {indices.shape[0]}"
+        )
     # Negative indices wrap to huge unsigned values: one max covers both ends.
     if indices.size and indices.view(np.uint64).max() >= n_cols:
         raise ValidationError("column index out of range")
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return SweepPlan(indptr, indices, n_cols)
+
+
+def _row_loop(data, plan: SweepPlan, operand) -> np.ndarray:
+    """Canonical ``A @ operand`` of ``plan``'s pattern in scipy's row loop.
+
+    ``data`` holds one value per position of ``plan`` (``(rows, W)``
+    row-major for ELL).  The output starts at ``+0.0``; the loop adds
+    each row's products to it left to right.
+    """
+    if data.size != plan.nnz:
+        raise ShapeError(f"plan was built for nnz={plan.nnz}, got {data.size} values")
+    dtype = np.result_type(data, operand)
+    # np.asarray, not a method call: a sanitized device buffer records
+    # the read of its values through the array protocol.
+    data = np.asarray(data, dtype=dtype).reshape(-1)
+    operand = np.asarray(operand, dtype=dtype)
+    if operand.ndim not in (1, 2):
+        raise ValidationError(f"operand must be 1-D or 2-D, got shape {operand.shape}")
+    if operand.shape[0] != plan.n_cols:
+        raise ShapeError(
+            f"plan was built for {plan.n_cols} columns, got operand shape {operand.shape}"
+        )
+    rows, cols = plan.n_rows, plan.n_cols
     if operand.ndim == 1:
-        out = np.zeros(n_rows, dtype=dtype)
-        _sparsetools.csr_matvec(n_rows, n_cols, indptr, indices, data, operand, out)
+        out = np.zeros(rows, dtype=dtype)
+        _sparsetools.csr_matvec(rows, cols, plan.indptr, plan.indices, data, operand, out)
         return out
-    if operand.ndim != 2:
-        raise ValidationError(f"block must be 2-D, got shape {operand.shape}")
-    out = np.zeros((n_rows, operand.shape[1]), dtype=dtype)
+    out = np.zeros((rows, operand.shape[1]), dtype=dtype)
     _sparsetools.csr_matvecs(
-        n_rows, n_cols, operand.shape[1], indptr, indices, data, operand, out
+        rows, cols, operand.shape[1], plan.indptr, plan.indices, data, operand, out
     )
     return out
 
 
-def _check_lengths(data, indices, plan: SweepPlan) -> None:
-    if len(data) != plan.nnz or len(indices) != plan.nnz:
-        raise ShapeError(
-            f"plan was built for nnz={plan.nnz}, got data/indices of "
-            f"length {len(data)}/{len(indices)}"
-        )
-
-
-def _ell_indptr(shape: tuple[int, int]) -> np.ndarray:
-    """Row pointer of ``(rows, W)`` ELL storage read as a uniform-width CSR."""
-    rows, width = shape
-    return np.arange(rows + 1, dtype=np.int64) * width
-
-
-def csr_sweep_matvec(data, indices, plan: SweepPlan, x) -> np.ndarray:
-    """Canonical ``A @ x`` over CSR storage (see module docstring)."""
+def csr_sweep_matvec(data, plan: SweepPlan, x) -> np.ndarray:
+    """Canonical ``A @ x`` over CSR values and their pattern."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
-    _check_lengths(data, indices, plan)
-    return _row_loop(plan.indptr, data, indices, x)
+    return _row_loop(data, plan, x)
 
 
-def csr_sweep_matmat(data, indices, plan: SweepPlan, block) -> np.ndarray:
-    """Canonical ``A @ B`` over CSR storage, column by column independent."""
+def csr_sweep_matmat(data, plan: SweepPlan, block) -> np.ndarray:
+    """Canonical ``A @ B`` over CSR values, column by column independent."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
-    _check_lengths(data, indices, plan)
-    return _row_loop(plan.indptr, data, indices, block)
+    return _row_loop(data, plan, block)
 
 
-def ell_sweep_matvec(ell_data, ell_indices, x) -> np.ndarray:
-    """Canonical ``A @ x`` over ELL storage (padded slots absorb exactly)."""
-    if ell_data.shape != ell_indices.shape:
-        raise ShapeError(
-            f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
-        )
-    return _row_loop(_ell_indptr(ell_data.shape), ell_data, ell_indices, x)
+def ell_sweep_matvec(ell_data, plan: SweepPlan, x) -> np.ndarray:
+    """Canonical ``A @ x`` over ELL values (padded slots absorb exactly)."""
+    if not isinstance(plan, SweepPlan):
+        raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
+    return _row_loop(ell_data, plan, x)
 
 
-def ell_sweep_matmat(ell_data, ell_indices, block) -> np.ndarray:
-    """Canonical ``A @ B`` over ELL storage."""
-    if ell_data.shape != ell_indices.shape:
-        raise ShapeError(
-            f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
-        )
-    return _row_loop(_ell_indptr(ell_data.shape), ell_data, ell_indices, block)
+def ell_sweep_matmat(ell_data, plan: SweepPlan, block) -> np.ndarray:
+    """Canonical ``A @ B`` over ELL values."""
+    if not isinstance(plan, SweepPlan):
+        raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
+    return _row_loop(ell_data, plan, block)
 
 
 def dense_sweep_matvec(array, x) -> np.ndarray:

@@ -18,6 +18,8 @@ from repro.analysis.cli import main
 from repro.analysis.kernelver import (
     CERTIFICATE_SCHEMA,
     build_certificate,
+    find_kernel_defs,
+    interpret_mode,
     render_certificate,
     verify_module,
 )
@@ -83,28 +85,25 @@ class TestSeededMutants:
 
     def test_off_by_one_store_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = (
-            "mu_tilde.data[block_vectors, order - start_moment] = _row_dots(r0, nxt)"
-        )
+        target = "mu_tilde.data[block_vectors] = moments"
         assert target in original
         mutated = original.replace(
-            target,
-            "mu_tilde.data[block_vectors, order - start_moment + 1] = "
-            "_row_dots(r0, nxt)",
+            target, "mu_tilde.data[block_vectors + 1] = moments"
         )
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"
         bounds = recursion.issues("RA016")
         assert bounds, "the out-of-bounds store produced no RA016 issue"
         assert any(
-            "may exceed extent" in issue.message for _, issue in bounds
+            issue.certain and "exceeds extent" in issue.message
+            for _, issue in bounds
         )
 
     def test_dropped_block_ownership_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = "mu_tilde.data[block_vectors, order - start_moment]"
+        target = "mu_tilde.data[block_vectors] = moments"
         assert target in original
-        mutated = original.replace(target, "mu_tilde.data[0, order - start_moment]")
+        mutated = original.replace(target, "mu_tilde.data[0] = moments")
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"
         races = recursion.issues("RA017")
@@ -123,8 +122,8 @@ class TestSeededMutants:
         original = KERNELS_PY.read_text(encoding="utf-8")
         (mutant_dir / "kernels.py").write_text(
             original.replace(
-                "mu_tilde.data[block_vectors, order - start_moment]",
-                "mu_tilde.data[0, order - start_moment]",
+                "mu_tilde.data[block_vectors] = moments",
+                "mu_tilde.data[0] = moments",
             ),
             encoding="utf-8",
         )
@@ -132,6 +131,61 @@ class TestSeededMutants:
         report = run_analysis([tmp_path], config)
         assert report.failed
         assert all(f.rule == "RA017" for f in report.findings)
+
+
+LOOP_SCOPE_KERNEL = """
+from repro.gpu.contracts import ArraySpec, KernelContract
+from repro.gpu.kernel import kernel
+
+
+@kernel(
+    "loop_scope",
+    contract=KernelContract(
+        symbols={"n": (1, None)},
+        arrays={"out": ArraySpec(extent=("n",), role="out")},
+    ),
+)
+def loop_scope_kernel(ctx, out, n):
+    if ctx.linear_block_id != 0:
+        return
+    for k in range(1, n):
+        out.data[k] = 1.0
+    out.data[0] = 0.0
+"""
+
+
+class TestLoopScope:
+    """A loop symbol's bounds hold inside the loop body only."""
+
+    def _writes(self, source):
+        tree = ast.parse(source)
+        [kernel_def] = find_kernel_defs(tree)
+        [mode] = kernel_def.contract.modes
+        result = interpret_mode(kernel_def.func, kernel_def.contract, mode, tree)
+        return {access.line: access for access in result.accesses if access.kind == "write"}
+
+    def test_post_loop_access_carries_no_loop_symbol(self):
+        writes = self._writes(LOOP_SCOPE_KERNEL)
+        lines = LOOP_SCOPE_KERNEL.splitlines()
+        in_loop = lines.index("        out.data[k] = 1.0") + 1
+        after = lines.index("    out.data[0] = 0.0") + 1
+        assert f"k#{in_loop - 1}" in writes[in_loop].domain.symbols()
+        assert not any("#" in name for name in writes[after].domain.symbols())
+
+    def test_recursion_moment_store_is_outside_every_loop(self):
+        tree = ast.parse(KERNELS_PY.read_text(encoding="utf-8"))
+        kernel_def = next(
+            k for k in find_kernel_defs(tree) if k.kernel_name == "kpm_recursion"
+        )
+        for mode in kernel_def.contract.modes:
+            result = interpret_mode(kernel_def.func, kernel_def.contract, mode, tree)
+            stores = [
+                access
+                for access in result.accesses
+                if access.param == "mu_tilde" and access.kind == "write"
+            ]
+            assert len(stores) == 1, mode.name
+            assert not any("#" in name for name in stores[0].domain.symbols())
 
 
 class TestCertificate:

@@ -92,12 +92,12 @@ def start_vector(dim, config, index):
 
 def float32_moments(op, start, num_moments):
     """The per-vector float32 recursion: ``2.0 * y - prev`` and ``r0 @ y``."""
-    plan = build_sweep_plan(op.indptr, op.shape[0])
+    plan = build_sweep_plan(op.indptr, op.indices, op.shape)
     data = op.data.astype(np.float32)
     r0 = start.astype(np.float32)
-    ys = [r0, csr_sweep_matvec(data, op.indices, plan, r0)]
+    ys = [r0, csr_sweep_matvec(data, plan, r0)]
     for _ in range(2, num_moments):
-        ys.append(2.0 * csr_sweep_matvec(data, op.indices, plan, ys[-1]) - ys[-2])
+        ys.append(2.0 * csr_sweep_matvec(data, plan, ys[-1]) - ys[-2])
     return np.array([r0 @ y for y in ys[:num_moments]], dtype=np.float32)
 
 

@@ -118,10 +118,10 @@ def vectors(length, count=None):
 
 def sweep(csr, operand, data=None):
     data = csr.data if data is None else data
-    plan = build_sweep_plan(csr.indptr, csr.shape[0])
+    plan = build_sweep_plan(csr.indptr, csr.indices, csr.shape)
     if operand.ndim == 1:
-        return csr_sweep_matvec(data, csr.indices, plan, operand)
-    return csr_sweep_matmat(data, csr.indices, plan, operand)
+        return csr_sweep_matvec(data, plan, operand)
+    return csr_sweep_matmat(data, plan, operand)
 
 
 #: A first entry that is non-finite: 0.0 * x[0] is NaN, so every padded
@@ -185,7 +185,7 @@ class TestEllMatchesReference:
         if data.draw(st.booleans()):
             x[0] = data.draw(non_finite)
         expected = reference_ell_matvec(ell.data, ell.indices, x)
-        assert ell_sweep_matvec(ell.data, ell.indices, x).tobytes() == expected.tobytes()
+        assert ell_sweep_matvec(ell.data, ell.sweep_plan, x).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
     @given(data=st.data())
@@ -198,7 +198,7 @@ class TestEllMatchesReference:
             [reference_ell_matvec(ell.data, ell.indices, block[:, j]) for j in range(k)],
             axis=1,
         )
-        assert ell_sweep_matmat(ell.data, ell.indices, block).tobytes() == expected.tobytes()
+        assert ell_sweep_matmat(ell.data, ell.sweep_plan, block).tobytes() == expected.tobytes()
 
 
 class TestSinglePrecision:

@@ -13,7 +13,9 @@ from repro.gpukpm import (
     spmv_model_for,
 )
 from repro.kpm import KPMConfig, get_engine, rescale_operator, stochastic_moments
-from repro.lattice import chain, cubic, tight_binding_hamiltonian
+from repro.lattice import chain, cubic, paper_cubic_hamiltonian, tight_binding_hamiltonian
+from repro.sparse import CSRMatrix, sweep
+from repro.tune import Autotuner
 
 
 @pytest.fixture
@@ -333,3 +335,95 @@ class TestBuffersFreedOnError:
             assert memory.used_bytes == 0
             swept.add(name)
         assert swept == {name for _, _, name in reference}
+
+
+class TestOneConversionPerRun:
+    """A dense-stored operator is converted at most once per call."""
+
+    @pytest.fixture()
+    def conversions(self, monkeypatch):
+        calls = []
+        from_dense = CSRMatrix.from_dense.__func__
+
+        def counting(cls, dense, **kwargs):
+            calls.append(dense.shape)
+            return from_dense(cls, dense, **kwargs)
+
+        monkeypatch.setattr(CSRMatrix, "from_dense", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("storage, once", [("dense", 1), ("csr", 0)])
+    def test_tuned_run_converts_once(self, conversions, small_config, storage, once):
+        scaled, _ = rescale_operator(paper_cubic_hamiltonian(6, format=storage))
+        runner = GpuKPM(tuner=Autotuner())
+        counts = []
+        for call in (
+            runner.compute_moments,
+            runner.estimate_modeled_seconds,
+            runner.compute_moments,  # a tuner-cache hit
+        ):
+            before = len(conversions)
+            call(scaled, small_config)
+            counts.append(len(conversions) - before)
+        assert counts == [once] * 3
+
+    @pytest.mark.parametrize("fmt, once", [("ell", 1), ("csr-vector", 1), ("dense", 0)])
+    def test_pinned_format_converts_at_most_once(self, conversions, small_config, fmt, once):
+        scaled, _ = rescale_operator(paper_cubic_hamiltonian(6, format="dense"))
+        GpuKPM(spmv_format=fmt).compute_moments(scaled, small_config)
+        assert len(conversions) == once
+
+    @pytest.mark.parametrize("fmt", [None, "csr", "ell", "dense"])
+    def test_dense_storage_runs_as_its_csr_copy(self, small_config, fmt):
+        dense, _ = rescale_operator(paper_cubic_hamiltonian(6, format="dense"))
+        runs = []
+        for op in (dense, dense.to_csr()):
+            runner = GpuKPM(tuner=Autotuner()) if fmt is None else GpuKPM(spmv_format=fmt)
+            data, report = runner.compute_moments(op, small_config)
+            seconds = runner.estimate_modeled_seconds(op, small_config)
+            runs.append(
+                (data.mu.tobytes(), data.per_realization.tobytes(), report.modeled_seconds, seconds)
+            )
+        assert runs[0] == runs[1]
+
+
+class TestUploadReusesThePlan:
+    """Patterns are checked once per operator, never per upload or launch."""
+
+    @pytest.fixture()
+    def plans_built(self, monkeypatch):
+        calls = []
+        init = sweep.SweepPlan.__init__
+
+        def counting(plan, *args):
+            calls.append(args)
+            init(plan, *args)
+
+        monkeypatch.setattr(sweep.SweepPlan, "__init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("storage", ["csr", "ell"])
+    def test_plan_built_once_per_operator(self, plans_built, small_config, storage):
+        scaled, _ = rescale_operator(tight_binding_hamiltonian(cubic(4), format="csr"))
+        before = len(plans_built)
+        op = (
+            CSRMatrix(scaled.indptr, scaled.indices, scaled.data, scaled.shape)
+            if storage == "csr"
+            else scaled.to_ell()
+        )
+        built = len(plans_built)
+        assert built == before + 1
+        device = Device(TESLA_C2050)
+        spmv = spmv_model_for(op, storage)
+        matrix = GpuKPM._upload_matrix(device, op, spmv, op.shape[0], np.float64)
+        assert matrix.plan is op.sweep_plan
+        runner = GpuKPM()
+        runner.compute_moments(op, small_config)
+        runner.compute_moments(op, small_config.with_updates(num_moments=40))
+        assert len(plans_built) == built
+
+    def test_tuned_conversion_builds_one_plan(self, plans_built, small_config):
+        scaled, _ = rescale_operator(tight_binding_hamiltonian(cubic(4), format="csr"))
+        before = len(plans_built)
+        GpuKPM(spmv_format="ell").compute_moments(scaled, small_config)
+        assert len(plans_built) - before == 1  # the ELL copy of the CSR operator

@@ -125,6 +125,35 @@ class TestMatvec:
         np.testing.assert_allclose(csr.matvec(x), reference @ x)
 
 
+class TestPatternIsFixed:
+    """The checked pattern cannot change under a sweep; the values can."""
+
+    def test_pattern_written_in_place_raises(self):
+        csr = CSRMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        x = np.array([1.0, 10.0])
+        np.testing.assert_array_equal(csr.matvec(x), [21.0, 30.0])
+        with pytest.raises(ValueError, match="read-only"):
+            csr.indptr[1] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            csr.indices[1] = 0
+        with pytest.raises(AttributeError):
+            csr.indices = np.array([0, 0, 1])
+        np.testing.assert_array_equal(csr.matvec(x), csr.to_dense() @ x)
+        np.testing.assert_array_equal(csr.matvec(x), [21.0, 30.0])
+        csr.data[0] = 5.0
+        np.testing.assert_array_equal(csr.matvec(x), [25.0, 30.0])
+
+    def test_constructor_keeps_its_own_pattern(self):
+        indptr = np.array([0, 2, 3])
+        indices = np.array([0, 1, 1])
+        csr = CSRMatrix(indptr, indices, [1.0, 2.0, 3.0], (2, 2))
+        indptr[1] = 1
+        indices[1] = 0
+        np.testing.assert_array_equal(csr.indptr, [0, 2, 3])
+        np.testing.assert_array_equal(csr.indices, [0, 1, 1])
+        assert csr.sweep_plan.indices is csr.indices
+
+
 class TestMatmat:
     def test_matches_dense(self, rng):
         dense = dense_example()

@@ -156,6 +156,32 @@ class TestLinearAlgebra:
             ell.dot(np.ones((2, 2, 2)))
 
 
+class TestPatternIsFixed:
+    """The checked slot pattern cannot change under a sweep; the values can."""
+
+    def test_pattern_written_in_place_raises(self):
+        ell = ELLMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        x = np.array([1.0, 10.0])
+        np.testing.assert_array_equal(ell.matvec(x), [21.0, 30.0])
+        with pytest.raises(ValueError, match="read-only"):
+            ell.indices[1, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ell.sweep_plan.indptr[1] = 1
+        with pytest.raises(AttributeError):
+            ell.indices = np.zeros((2, 2), dtype=np.int64)
+        np.testing.assert_array_equal(ell.matvec(x), ell.to_dense() @ x)
+        np.testing.assert_array_equal(ell.matvec(x), [21.0, 30.0])
+        ell.data[0, 0] = 5.0
+        np.testing.assert_array_equal(ell.matvec(x), [25.0, 30.0])
+
+    def test_constructor_keeps_its_own_pattern(self):
+        indices = np.array([[0, 1], [1, 0]])
+        ell = ELLMatrix([[1.0, 2.0], [3.0, 0.0]], indices, [2, 1], (2, 2))
+        indices[1, 0] = 0
+        np.testing.assert_array_equal(ell.indices, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(ell.sweep_plan.indptr, [0, 2, 4])
+
+
 class TestTransformations:
     def test_transpose_involution(self):
         dense = np.triu(sample_dense())
