@@ -97,11 +97,16 @@ def validate_spectral_operator(hamiltonian):
     The shared admission check of :func:`compute_dos` and the
     :mod:`repro.serve` service layer: KPM is defined for Hermitian
     matrices, and asymmetry is rejected early because it produces
-    silently wrong spectra instead of crashing.  A NaN or infinite
-    entry, or a row sum that overflows, is rejected first: such an
-    operator cannot be rescaled into ``[-1, 1]``.
+    silently wrong spectra instead of crashing.  An operator with a zero
+    dimension has no spectrum to bound, and a NaN or infinite entry, or
+    a row sum that overflows, cannot be rescaled into ``[-1, 1]``; both
+    are rejected first.
     """
     op = as_operator(hamiltonian)
+    if 0 in op.shape:
+        raise ValidationError(
+            f"hamiltonian must not be empty, got shape {tuple(op.shape)}"
+        )
     # Tolerance must scale with the overall matrix magnitude (an
     # O(nnz) infinity-norm bound: |diag| + off-diagonal row sums).  The
     # paper's hopping Hamiltonians have a zero diagonal, so a

@@ -58,7 +58,8 @@ def greens_function(
         )
     damped = apply_kernel_damping(moments, kernel, **kernel_kwargs)
     x = np.atleast_1d(rescaling.to_scaled(np.asarray(energies, dtype=np.float64)))
-    if np.any(np.abs(x) >= 1.0):
+    # Written as "all inside" so that a NaN energy fails it too.
+    if not np.all(np.abs(x) < 1.0):
         raise ValidationError(
             "energies must lie strictly inside the rescaled spectral interval"
         )

@@ -20,6 +20,7 @@ multiplied by ``1 + epsilon``) and two alternative bound estimators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,9 @@ class Rescaling:
 
     ``x = (omega - b) / a`` with ``a = half_width * (1 + epsilon)`` and
     ``b = center``.  Densities transform with the Jacobian ``1/a``:
-    ``rho(omega) = rho~(x) / a``.
+    ``rho(omega) = rho~(x) / a``.  A positive ``a`` so small that
+    ``1/a`` overflows (a subnormal scale) is rejected: neither ``H~`` nor
+    the Jacobian would be finite.
     """
 
     scale: float  # a
@@ -82,6 +85,10 @@ class Rescaling:
             raise ValidationError("rescaling parameters must be finite")
         if self.scale <= 0:
             raise ValidationError(f"scale must be positive, got {self.scale}")
+        if not math.isfinite(1.0 / float(self.scale)):
+            raise ValidationError(
+                f"scale {self.scale} is too small: its reciprocal overflows"
+            )
 
     def to_scaled(self, omega):
         """Map original energies to ``x`` in ``[-1, 1]``."""

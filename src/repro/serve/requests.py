@@ -227,7 +227,9 @@ class GreenRequest(SpectralRequest):
 
     Shares trace moments with :class:`DoSRequest` — a Green request whose
     config matches a DoS request coalesces into the same engine batch and
-    hits the same cache entry.
+    hits the same cache entry.  ``energies`` are stored as a tuple of
+    floats; an empty tuple or a NaN or infinite energy raises
+    :class:`~repro.errors.ValidationError`.
     """
 
     hamiltonian: object
@@ -248,6 +250,8 @@ class GreenRequest(SpectralRequest):
         ))
         if not energies:
             raise ValidationError("energies must not be empty")
+        if not all(math.isfinite(e) for e in energies):
+            raise ValidationError(f"energies must be finite, got {energies}")
         object.__setattr__(self, "energies", energies)
         if not isinstance(self.kernel, str):
             raise ValidationError(
@@ -268,7 +272,10 @@ class SpectralResponse:
     energies:
         Energy grid (DoS/LDoS) or the requested energies (Green).
     values:
-        Density, local density, or complex ``G`` on ``energies``.
+        Density, local density, or complex ``G`` on ``energies``.  A
+        service response's ``energies`` and ``values`` are read-only
+        arrays shared by every response with equal reconstruction
+        inputs.
     moments:
         The moment estimates the reconstruction consumed
         (:class:`~repro.kpm.MomentData` for trace requests, a raw moment

@@ -13,8 +13,12 @@ three-term recursion from its checkpoint instead of replaying from
 keyed on :func:`repro.serve.moment_identity_key` — the truncation order
 is *not* part of the key, so mixed-``N`` repeats of one workload share a
 single recursion.  Reconstruction (kernel damping, energy grid, Green's
-phases) is always performed per-request at the request's own order, so
-requests that share moments may still differ in kernel, grid, and ``N``.
+phases) happens at each request's own order, so requests that share
+moments may still differ in kernel, grid, and ``N``; requests with equal
+inputs (batch key, producing engine, order, kind, kernel and grid) share
+one reconstruction, whose read-only ``energies``/``values`` arrays every
+such response holds.  The operator is rescaled once per content and
+bounds options, whatever requests it serves.
 
 :meth:`~SpectralService.flush_refined` adds progressive refinement: a
 batch whose key holds a cached low-``N`` prefix is answered immediately
@@ -80,10 +84,15 @@ class OperatorFacts:
         The operator passed :func:`~repro.kpm.dos.validate_spectral_operator`.
         Only successes are recorded: a rejected operator is validated
         again on every submission.
+    rescaled:
+        ``(bounds_method, epsilon) -> (scaled operator, rescaling)``: the
+        one :func:`~repro.kpm.rescale_operator` result that DoS, Green
+        and every LDoS site of the operator share under those options.
     scaled:
         ``moment_identity_key -> (scaled operator, rescaling)``.  The
-        rescaled (and, with a tuner, re-stored) operator every compute,
-        extension and price of that key runs on.
+        operator every compute, extension and price of that key runs
+        on: the shared ``rescaled`` pair, or with a tuner that operator
+        re-stored in the format tuned for the key.
     prices:
         Analytic modeled seconds.  ``(slot name, identity key, config)``
         holds an engine's ``estimate_modeled_seconds``; ``(engine name,
@@ -92,6 +101,7 @@ class OperatorFacts:
     """
 
     validated: bool = False
+    rescaled: dict = field(default_factory=dict)
     scaled: dict = field(default_factory=dict)
     prices: dict = field(default_factory=dict)
 
@@ -104,10 +114,12 @@ class OperatorMemo:
     operator mutated in place is a new entry.  At most ``capacity``
     operators are held; an evicted operator's facts are derived again
     on its next use.  Validation, rescaling and estimates come out the
-    same.  Two facts depend on when they are derived: with a tuner, the
-    tuned storage follows the order of the request that derives it
-    (moments are identical in every format), and a naive cost that fell
-    back to an entry's invested cost is taken from the entry served then.
+    same: one rescale per (fingerprint, bounds method, epsilon), whatever
+    identity keys use it.  Two facts depend on when they are derived:
+    with a tuner, the tuned storage follows the order of the request
+    that derives it (moments are identical in every format), and a naive
+    cost that fell back to an entry's invested cost is taken from the
+    entry served then.
     """
 
     def __init__(self, capacity: int):
@@ -150,7 +162,8 @@ class SpectralService:
         Prefix moment-cache entries (``0`` disables caching; split
         siblings are then served through the flush-local forward table
         instead of silently recomputing).  The per-operator
-        :class:`OperatorMemo` holds ``max(cache_capacity, 1)`` operators.
+        :class:`OperatorMemo` holds ``max(cache_capacity, 1)`` operators,
+        and the reconstruction memo as many ``(energies, values)`` pairs.
     prefix_cache:
         ``False`` restores the PR 3 exact-order cache matching (A/B
         comparison knob; prefix hits and extensions are disabled).
@@ -189,6 +202,9 @@ class SpectralService:
         self.cache = MomentCache(cache_capacity, prefix=prefix_cache)
         self.scheduler = FifoCoalesceScheduler(max_batch_size=max_batch_size)
         self.memo = OperatorMemo(cache_capacity)
+        #: LRU of read-only ``(energies, values)``, keyed in
+        #: :meth:`_reconstruction`; at most ``self.memo.capacity`` pairs.
+        self._reconstructions: OrderedDict[tuple, tuple] = OrderedDict()
         #: Unbounded on purpose: a few hundred bytes per key, and the
         #: key->engine map must stay a pure function of the offered trace.
         self._key_affinity: dict[tuple, int] = {}
@@ -448,23 +464,35 @@ class SpectralService:
         """One response per member of ``batch``, each at its own order.
 
         Every member is reconstructed from ``entry`` truncated to the
-        smaller of its own ``N`` and the entry's.  ``coalesced`` labels
-        the members after the head ``"coalesced"``: they rode along on
-        the run the head triggered.
+        smaller of its own ``N`` and the entry's; members with equal
+        reconstruction inputs share one (see :meth:`_reconstruction`).
+        ``coalesced`` labels the members after the head ``"coalesced"``:
+        they rode along on the run the head triggered.
         """
         answers = {}
         for index, queued in enumerate(batch.entries):
-            member_n = min(queued.request.config.num_moments, entry.num_moments)
-            answers[queued.seq] = self._reconstruct(
-                queued.request,
-                entry.prefix(member_n),
+            request = queued.request
+            member = entry.prefix(min(request.config.num_moments, entry.num_moments))
+            energies, values = self._reconstruction(batch.key, request, member)
+            answers[queued.seq] = SpectralResponse(
+                kind=request.kind,
+                tag=request.tag,
+                energies=energies,
+                values=values,
+                moments=member.moments,
+                rescaling=member.rescaling,
+                config=request.config,
                 source="coalesced" if coalesced and index else source,
+                engine=member.engine,
                 batch_id=batch.batch_id,
                 modeled_seconds=cost,
+                num_moments_served=member.num_moments,
                 tier=tier,
                 final=final,
                 outcome=outcome,
                 reason=reason,
+                tenant=request.tenant,
+                deadline=request.deadline,
             )
         return answers
 
@@ -475,16 +503,21 @@ class SpectralService:
         """The (scaled, rescaling) pair for ``key``, memoized.
 
         Rescaling is a deterministic function of the operator and the
-        bounds options — both part of the key — so one rescale serves
-        every compute, extension, naive-cost estimate, and gateway
-        admission price for the key.
+        bounds options alone, so one rescale per (fingerprint,
+        ``bounds_method``, ``epsilon``) serves every compute, extension,
+        naive-cost estimate and gateway admission price of every key on
+        that operator.  With a tuner, the storage is tuned per key.
         """
-        scaled_by_identity = self.memo.facts(key[0]).scaled
-        cached = scaled_by_identity.get(key[1])
+        facts = self.memo.facts(key[0])
+        cached = facts.scaled.get(key[1])
         if cached is None:
-            scaled, rescaling = rescale_operator(
-                operator, method=config.bounds_method, epsilon=config.epsilon
-            )
+            bounds = (config.bounds_method, config.epsilon)
+            cached = facts.rescaled.get(bounds)
+            if cached is None:
+                cached = facts.rescaled[bounds] = rescale_operator(
+                    operator, method=config.bounds_method, epsilon=config.epsilon
+                )
+            scaled, rescaling = cached
             if self.tuner is not None:
                 # Convert once to the tuned storage: engines and the
                 # LDoS host recursion then execute (and admission prices)
@@ -500,7 +533,8 @@ class SpectralService:
                 scaled = self.tuner.prepare_operator(
                     scaled if choice.format == "dense" else sparse, choice
                 )
-            cached = scaled_by_identity[key[1]] = (scaled, rescaling)
+                cached = (scaled, rescaling)
+            facts.scaled[key[1]] = cached
         return cached
 
     def _grow(self, batch: Batch, num_moments: int, forwarded: dict) -> tuple:
@@ -684,45 +718,45 @@ class SpectralService:
         return float(np.sqrt(np.mean(np.square(tail))))
 
     # ------------------------------------------------------------------
-    # Reconstruction (always per-request)
+    # Reconstruction (at each request's own order, shared between equals)
     # ------------------------------------------------------------------
-    def _reconstruct(
-        self, request, entry: CacheEntry, *, source, batch_id, modeled_seconds,
-        tier: int, final: bool, outcome: str, reason: str,
-    ) -> SpectralResponse:
+    def _reconstruction(self, key: tuple, request, entry: CacheEntry) -> tuple:
+        """The read-only ``(energies, values)`` of ``request`` from ``entry``.
+
+        Memoized on what they depend on: the batch ``key`` (operator
+        content and moment identity, hence the rescaling), the engine
+        that produced the moments (engines may differ in the last bit),
+        the served order, the request kind, and the kernel and grid —
+        ``num_energy_points``, or the exact bytes of the Green energies.
+        The LRU keeps at most ``self.memo.capacity`` pairs.
+        """
         config = request.config
         if isinstance(request, GreenRequest):
             energies = np.asarray(request.energies, dtype=np.float64)
+            kernel, grid = request.kernel, energies.tobytes()
+        else:
+            energies = None
+            kernel, grid = config.kernel, config.num_energy_points
+        memo_key = (key, entry.engine, entry.num_moments, request.kind, kernel, grid)
+        cached = self._reconstructions.get(memo_key)
+        if cached is not None:
+            self._reconstructions.move_to_end(memo_key)
+            return cached
+        if energies is not None:
             values = greens_function(
-                entry.moments, entry.rescaling, energies, kernel=request.kernel
+                entry.moments, entry.rescaling, energies, kernel=kernel
             )
         else:
             energies, values = dos_from_moments(
-                entry.moments,
-                entry.rescaling,
-                kernel=config.kernel,
-                num_points=config.num_energy_points,
+                entry.moments, entry.rescaling, kernel=kernel, num_points=grid
             )
-        return SpectralResponse(
-            kind=request.kind,
-            tag=request.tag,
-            energies=energies,
-            values=values,
-            moments=entry.moments,
-            rescaling=entry.rescaling,
-            config=config,
-            source=source,
-            engine=entry.engine,
-            batch_id=batch_id,
-            modeled_seconds=modeled_seconds,
-            num_moments_served=entry.num_moments,
-            tier=tier,
-            final=final,
-            outcome=outcome,
-            reason=reason,
-            tenant=request.tenant,
-            deadline=request.deadline,
-        )
+        # Both arrays were allocated here, never a caller's.
+        energies.flags.writeable = False
+        values.flags.writeable = False
+        cached = self._reconstructions[memo_key] = (energies, values)
+        if len(self._reconstructions) > self.memo.capacity:
+            self._reconstructions.popitem(last=False)
+        return cached
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, ValidationError
 from repro.sparse.sweep import _CheckedProducts, dense_sweep_matmat, dense_sweep_matvec
 from repro.util.validation import as_float64_array
 
@@ -83,6 +83,8 @@ class DenseOperator(_CheckedProducts):
         """Return ``scale * A + shift * I``."""
         if self.shape[0] != self.shape[1]:
             raise ShapeError(f"scale_shift requires a square matrix, got {self.shape}")
+        if not np.isfinite(scale) or not np.isfinite(shift):
+            raise ValidationError("scale and shift must be finite")
         out = self.array * scale
         out[np.diag_indices(self.shape[0])] += shift
         return DenseOperator(out)

@@ -13,7 +13,9 @@ so an :class:`ELLMatrix` produces bit-identical results to the CSR and
 dense operators holding the same matrix.  The constructor checks the
 slot pattern once into a :class:`repro.sparse.sweep.SweepPlan` (a
 uniform-width CSR pattern, padding included); ``indices`` is a
-read-only view of that plan's array, while ``data`` stays writable.
+read-only view of that plan's array and ``row_nnz`` a private read-only
+copy, so the pattern cannot change after the check, while ``data``
+stays writable.
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ class ELLMatrix(_CheckedProducts):
         ``(n_rows, n_cols)``.
     """
 
-    __slots__ = ("data", "row_nnz", "shape", "_plan")
+    __slots__ = ("data", "shape", "_plan", "_row_nnz")
 
     def __init__(self, data, indices, row_nnz, shape: tuple[int, int]):
         data = np.asarray(data, dtype=np.float64)
         indices = np.asarray(indices, dtype=np.int64)
-        row_nnz = np.asarray(row_nnz, dtype=np.int64).ravel()
+        row_nnz = np.array(row_nnz, dtype=np.int64).ravel()
         if len(shape) != 2:
             raise ShapeError(f"shape must be (n_rows, n_cols), got {shape!r}")
         n_rows, n_cols = int(shape[0]), int(shape[1])
@@ -98,9 +100,10 @@ class ELLMatrix(_CheckedProducts):
             )
         if data.size and not np.all(np.isfinite(data)):
             raise ValidationError("data must be finite")
+        row_nnz.flags.writeable = False
         self._plan = plan
+        self._row_nnz = row_nnz
         self.data = data
-        self.row_nnz = row_nnz
         self.shape = (n_rows, n_cols)
 
     # ------------------------------------------------------------------
@@ -142,6 +145,11 @@ class ELLMatrix(_CheckedProducts):
     def indices(self) -> np.ndarray:
         """``(n_rows, width)`` column index per slot (read-only)."""
         return self._plan.indices.reshape(self.shape[0], -1)
+
+    @property
+    def row_nnz(self) -> np.ndarray:
+        """Stored (non-padding) entries per row, length ``n_rows`` (read-only)."""
+        return self._row_nnz
 
     @property
     def width(self) -> int:

@@ -76,6 +76,21 @@ def _profile_from_pattern(
     )
 
 
+def _sparse_profile(op) -> StructureProfile:
+    """One O(nnz) scan of a CSR or ELL operator's stored pattern."""
+    from repro.sparse.ell import ELLMatrix
+
+    if isinstance(op, ELLMatrix):
+        slot = np.arange(op.width, dtype=np.int64)[None, :]
+        stored = slot < op.row_nnz[:, None]
+        rows = np.repeat(np.arange(op.shape[0], dtype=np.int64), op.row_nnz)
+        return _profile_from_pattern(rows, op.indices[stored], op.shape, "float64")
+    rows = np.repeat(
+        np.arange(op.shape[0], dtype=np.int64), np.diff(op.indptr)
+    )
+    return _profile_from_pattern(rows, op.indices, op.shape, "float64")
+
+
 def structure_profile(op) -> StructureProfile:
     """Extract the :class:`StructureProfile` of a sparse/dense operator.
 
@@ -84,28 +99,27 @@ def structure_profile(op) -> StructureProfile:
     :class:`~repro.sparse.DenseOperator`, or a raw 2-D array (the last
     two profile their *non-zero* pattern, i.e. the structure a sparse
     conversion would store).
+
+    A CSR or ELL pattern is read-only once built, so its profile is
+    computed once and kept on the operator's
+    :class:`~repro.sparse.sweep.SweepPlan`; later calls return it.
     """
     from repro.sparse.csr import CSRMatrix
     from repro.sparse.ell import ELLMatrix
 
     if isinstance(op, np.ndarray):
         op = CSRMatrix.from_dense(op)
-    if isinstance(op, ELLMatrix):
-        slot = np.arange(op.width, dtype=np.int64)[None, :]
-        stored = slot < op.row_nnz[:, None]
-        rows = np.repeat(np.arange(op.shape[0], dtype=np.int64), op.row_nnz)
-        return _profile_from_pattern(rows, op.indices[stored], op.shape, "float64")
-    if not isinstance(op, CSRMatrix):
+    if not isinstance(op, (CSRMatrix, ELLMatrix)):
         to_csr = getattr(op, "to_csr", None)
         if to_csr is None:
             raise ValidationError(
                 f"cannot profile operator of type {type(op).__name__}"
             )
         op = to_csr()
-    rows = np.repeat(
-        np.arange(op.shape[0], dtype=np.int64), np.diff(op.indptr)
-    )
-    return _profile_from_pattern(rows, op.indices, op.shape, "float64")
+    plan = op.sweep_plan
+    if plan.profile is None:
+        plan.profile = _sparse_profile(op)
+    return plan.profile
 
 
 def structure_fingerprint(op) -> str:

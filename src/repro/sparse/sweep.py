@@ -84,9 +84,15 @@ class SweepPlan:
     :func:`build_sweep_plan` for the compiled row loop: the row pointer
     is non-decreasing from ``indptr[0] >= 0`` to ``nnz = indptr[-1]``,
     and every column index lies in ``[0, n_cols)``.
+
+    Each plan belongs to the one CSR or ELL operator that built it.
+    ``profile`` holds that operator's
+    :class:`~repro.sparse.StructureProfile` once
+    :func:`repro.sparse.structure_profile` has computed it (``None``
+    before), so an unchanged pattern is scanned once.
     """
 
-    __slots__ = ("n_rows", "n_cols", "nnz", "indptr", "indices")
+    __slots__ = ("n_rows", "n_cols", "nnz", "indptr", "indices", "profile")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, n_cols: int):
         self.indptr = indptr
@@ -94,6 +100,7 @@ class SweepPlan:
         self.n_rows = indptr.shape[0] - 1
         self.n_cols = n_cols
         self.nnz = indices.shape[0]
+        self.profile = None
 
 
 def build_sweep_plan(indptr, indices, shape: tuple[int, int]) -> SweepPlan:

@@ -67,3 +67,23 @@ def random_symmetric(dimension: int, seed: int = 0) -> np.ndarray:
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((dimension, dimension)) / np.sqrt(dimension)
     return a + a.T
+
+
+@pytest.fixture
+def profile_scans(monkeypatch):
+    """The shapes of every structure-profile scan made during the test.
+
+    Each entry is one O(nnz) pass of
+    :func:`repro.sparse.structure_profile` over a stored pattern.
+    """
+    import repro.sparse.fingerprint as fingerprint
+
+    scans = []
+    original = fingerprint._profile_from_pattern
+
+    def counted(rows, cols, shape, dtype):
+        scans.append(tuple(shape))
+        return original(rows, cols, shape, dtype)
+
+    monkeypatch.setattr(fingerprint, "_profile_from_pattern", counted)
+    return scans

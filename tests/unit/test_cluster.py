@@ -89,6 +89,18 @@ class TestFunctional:
         )
         assert report.modeled_seconds == pytest.approx(estimate, rel=1e-12)
 
+    def test_operator_is_profiled_at_most_once(
+        self, scaled_cube, small_config, profile_scans
+    ):
+        # The driver and every node's run_partition resolve the SpMV
+        # model of the same unchanged operator: one scan between them.
+        first, _ = MultiGpuKPM(4).compute_moments(scaled_cube, small_config)
+        assert len(profile_scans) <= 1
+        del profile_scans[:]
+        again, _ = MultiGpuKPM(4).compute_moments(scaled_cube, small_config)
+        assert profile_scans == []
+        assert again.mu.tobytes() == first.mu.tobytes()
+
 
 class TestEstimator:
     def test_breakdown_keys(self):

@@ -104,6 +104,19 @@ class TestNonFiniteOperator:
             validate_spectral_operator(h)
 
 
+class TestEmptyOperator:
+    """A zero dimension is a typed rejection, not NumPy's reduction error."""
+
+    @pytest.mark.parametrize(
+        "empty", [np.zeros((0, 0)), DenseOperator(np.zeros((0, 0)))]
+    )
+    def test_rejected_as_empty(self, empty):
+        with pytest.raises(ValidationError, match="empty"):
+            validate_spectral_operator(empty)
+        with pytest.raises(ValidationError, match="empty"):
+            compute_dos(empty, KPMConfig(num_moments=8, num_random_vectors=2))
+
+
 class TestSymmetryTolerance:
     """Regression: the symmetry tolerance must scale with the matrix.
 
@@ -178,6 +191,13 @@ class TestGreensFunction:
     def test_energy_outside_interval_rejected(self, chain_result):
         with pytest.raises(ValidationError):
             greens_function(chain_result.moments, chain_result.rescaling, [100.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_energy_rejected(self, chain_result):
+        with pytest.raises(ValidationError, match="strictly inside"):
+            greens_function(
+                chain_result.moments, chain_result.rescaling, [0.5, np.nan]
+            )
 
     def test_requires_rescaling(self, chain_result):
         with pytest.raises(ValidationError):

@@ -96,6 +96,19 @@ class TestRescaling:
         with pytest.raises(ValidationError):
             Rescaling(scale=0.0, shift=0.0)
 
+    def test_rejects_scale_whose_reciprocal_overflows(self):
+        with pytest.raises(ValidationError, match="reciprocal"):
+            Rescaling(scale=5e-310, shift=0.0)
+        # The smallest normal scale still has a finite Jacobian.
+        tiny = Rescaling(scale=np.finfo(np.float64).tiny, shift=0.0)
+        assert np.isfinite(tiny.density_jacobian)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_operator_is_not_rescaled(self):
+        h = tight_binding_hamiltonian(cubic(3), format="dense").to_dense() * 1e-310
+        with pytest.raises(ValidationError, match="reciprocal"):
+            rescale_operator(h)
+
     def test_apply_moves_spectrum_inside(self):
         h = tight_binding_hamiltonian(cubic(3), format="dense")
         scaled, rescaling = rescale_operator(h, epsilon=0.05)

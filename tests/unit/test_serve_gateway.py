@@ -10,6 +10,7 @@ from repro.lattice import chain, paper_cubic_hamiltonian, tight_binding_hamilton
 from repro.serve import (
     DoSRequest,
     EdfCoalesceScheduler,
+    GreenRequest,
     FifoCoalesceScheduler,
     Gateway,
     TenantPolicy,
@@ -17,6 +18,7 @@ from repro.serve import (
     check_equivalence,
     timed_trace,
 )
+from repro.sparse import DenseOperator
 from repro.tune import Autotuner
 
 H = tight_binding_hamiltonian(chain(32))
@@ -316,6 +318,45 @@ class TestRunTrace:
         assert (metrics.offered, metrics.rejected, metrics.served) == (3, 1, 2)
         direct = compute_dos(H, CONFIG, backend="numpy")
         assert np.array_equal(third.values, direct.density)
+
+    @pytest.mark.parametrize(
+        "empty", [np.zeros((0, 0)), DenseOperator(np.zeros((0, 0)))]
+    )
+    def test_empty_operator_arrival_is_rejected_and_replay_goes_on(self, empty):
+        arrivals = timed_trace(10, seed=4, duration=10.0, deadline_slack=1.0)
+        arrivals.insert(
+            4,
+            TimedArrival(
+                at=arrivals[3].at, request=DoSRequest(empty, CONFIG, tag="empty")
+            ),
+        )
+        with pytest.raises(ValidationError, match="empty"):
+            gateway().offer(DoSRequest(empty, CONFIG))
+        responses = gateway(template=("gpu-sim", "cpu-model")).run_trace(arrivals)
+        assert len(responses) == 11
+        bad = responses[4]
+        assert bad.tag == "empty" and bad.outcome == "rejected"
+        assert bad.reason.startswith("invalid: ") and "empty" in bad.reason
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_green_energy_is_never_served(self):
+        # GreenRequest refuses a NaN energy; one forced past that check
+        # still fails the reconstruction's interval test.
+        forced = GreenRequest(
+            H, energies=(0.5,), config=CONFIG.with_updates(seed=4), tag="nan"
+        )
+        object.__setattr__(forced, "energies", (float("nan"),))
+        arrivals = [
+            TimedArrival(at=0.1, request=DoSRequest(H, CONFIG)),
+            TimedArrival(at=0.2, request=forced),
+            TimedArrival(
+                at=0.3, request=GreenRequest(H, energies=(0.5,), config=CONFIG)
+            ),
+        ]
+        first, bad, good = gateway(template=("numpy",)).run_trace(arrivals)
+        assert first.outcome == good.outcome == "served"
+        assert bad.tag == "nan" and bad.outcome == "rejected"
+        assert bad.values is None and "strictly inside" in bad.reason
 
     def test_tuned_gateway_serves_dense_arrival(self):
         dense = paper_cubic_hamiltonian(4, format="dense")

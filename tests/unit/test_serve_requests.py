@@ -78,6 +78,11 @@ class TestTenancyFields:
         with pytest.raises(ValidationError):
             GreenRequest(H, energies=(0.0,), deadline=-2.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_green_rejects_non_finite_energy(self, energy):
+        with pytest.raises(ValidationError, match="finite"):
+            GreenRequest(H, energies=(0.5, energy))
+
 
 class TestResponseOutcomes:
     def test_taxonomy(self):

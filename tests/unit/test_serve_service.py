@@ -13,8 +13,8 @@ from repro.serve import (
     LDoSRequest,
     SpectralService,
 )
-from repro.sparse import CSRMatrix
-from repro.tune import Autotuner
+from repro.sparse import CSRMatrix, DenseOperator, ELLMatrix
+from repro.tune import Autotuner, TuningChoice
 
 
 class FlakyEngine:
@@ -36,6 +36,21 @@ class FlakyEngine:
             self.remaining -= 1
             raise self.exc("injected fault")
         return self.delegate.compute_moments(scaled_operator, config)
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """Record every call the service makes to ``repro.serve.service.<name>``."""
+    import repro.serve.service as service_module
+
+    calls = []
+    original = getattr(service_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, name, counted)
+    return calls
 
 
 class TestBitIdentity:
@@ -315,6 +330,24 @@ class TestValidation:
         assert response.outcome == "rejected"
         assert response.source == "service"
 
+    @pytest.mark.parametrize(
+        "empty", [np.zeros((0, 0)), DenseOperator(np.zeros((0, 0)))]
+    )
+    def test_empty_operator_rejected(self, empty, small_config):
+        with pytest.raises(ValidationError, match="empty"):
+            SpectralService(("gpu-sim",)).serve([DoSRequest(empty, small_config)])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["gpu-sim", "numpy"])
+    def test_subnormal_scale_is_rejected(self, backend):
+        # Gerschgorin gives a positive subnormal scale, whose reciprocal
+        # overflows: the rescaled operator could not be finite.
+        tiny = paper_cubic_hamiltonian(4, format="dense").to_dense() * 1e-310
+        config = KPMConfig(num_moments=16, num_random_vectors=4)
+        [response] = SpectralService((backend,)).serve([DoSRequest(tiny, config)])
+        assert response.outcome == "rejected" and response.values is None
+        assert "reciprocal" in response.reason
+
     def test_request_error_does_not_penalize_engine(self, chain_csr, small_config):
         service = SpectralService(backends=("numpy",))
         with pytest.raises(ValidationError):
@@ -558,24 +591,10 @@ class TestResponseAliasing:
 class TestOperatorMemo:
     """Each distinct operator is validated, rescaled and priced once."""
 
-    @staticmethod
-    def _count_validations(monkeypatch) -> list:
-        import repro.serve.service as service_module
-
-        calls = []
-        original = service_module.validate_spectral_operator
-
-        def counted(operator):
-            calls.append(operator)
-            return original(operator)
-
-        monkeypatch.setattr(service_module, "validate_spectral_operator", counted)
-        return calls
-
     def test_repeat_operator_is_validated_once(
         self, chain_csr, small_config, monkeypatch
     ):
-        calls = self._count_validations(monkeypatch)
+        calls = _count_calls(monkeypatch, "validate_spectral_operator")
         service = SpectralService(backends=("numpy",))
         for _ in range(3):
             service.submit(DoSRequest(chain_csr, small_config))
@@ -585,7 +604,7 @@ class TestOperatorMemo:
     def test_operator_mutated_in_place_is_validated_again(
         self, small_config, monkeypatch
     ):
-        calls = self._count_validations(monkeypatch)
+        calls = _count_calls(monkeypatch, "validate_spectral_operator")
         op = tight_binding_hamiltonian(chain(32), format="csr")
         service = SpectralService(backends=("numpy",))
         service.serve([DoSRequest(op, small_config)])
@@ -636,3 +655,176 @@ class TestOperatorMemo:
             direct = compute_dos(op, small_config, backend="gpu-sim")
             assert np.array_equal(response.moments.mu, direct.moments.mu)
             assert np.array_equal(response.values, direct.density)
+
+
+class TestSharedReconstruction:
+    """Equal reconstruction inputs share one read-only (energies, values)."""
+
+    def test_equal_requests_share_one_read_only_reconstruction(
+        self, chain_csr, small_config, monkeypatch
+    ):
+        calls = _count_calls(monkeypatch, "dos_from_moments")
+        service = SpectralService(("gpu-sim",))
+        coalesced = service.serve(
+            [DoSRequest(chain_csr, small_config, tag=str(i)) for i in range(3)]
+        )
+        [hit] = service.serve([DoSRequest(chain_csr, small_config)])
+        assert hit.source == "cache"
+        assert len(calls) == 1
+        for response in coalesced + [hit]:
+            assert response.values is coalesced[0].values
+            assert response.energies is coalesced[0].energies
+        with pytest.raises(ValueError, match="read-only"):
+            hit.values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            hit.energies[0] = 0.0
+        direct = compute_dos(chain_csr, small_config, backend="gpu-sim")
+        assert hit.values.tobytes() == direct.density.tobytes()
+        assert hit.energies.tobytes() == direct.energies.tobytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"kernel": "lorentz"}, {"num_energy_points": 256}, {"num_moments": 16}],
+    )
+    def test_changed_kernel_grid_or_order_computes_anew(
+        self, change, chain_csr, small_config, monkeypatch
+    ):
+        calls = _count_calls(monkeypatch, "dos_from_moments")
+        other_config = small_config.with_updates(**change)
+        base, other, again = SpectralService(("gpu-sim",)).serve(
+            [
+                DoSRequest(chain_csr, small_config),
+                DoSRequest(chain_csr, other_config),
+                DoSRequest(chain_csr, small_config),
+            ]
+        )
+        assert len(calls) == 2
+        assert again.values is base.values
+        assert other.values is not base.values
+        direct = compute_dos(chain_csr, other_config, backend="gpu-sim")
+        assert other.values.tobytes() == direct.density.tobytes()
+        assert other.energies.tobytes() == direct.energies.tobytes()
+
+    def test_another_engine_computes_anew(
+        self, chain_csr, small_config, monkeypatch
+    ):
+        # gpu-sim and cpu-model moments may differ in the last bit.
+        calls = _count_calls(monkeypatch, "dos_from_moments")
+        service = SpectralService(("gpu-sim", "cpu-model"), cache_capacity=0)
+        request = DoSRequest(chain_csr, small_config)
+        [first] = service.serve([request])
+        [repeat] = service.serve([request])
+        assert repeat.values is first.values
+        [slot] = [s for s in service.pool.slots if s.name == first.engine]
+        service.pool.report_failure(slot)
+        [moved] = service.serve([request])
+        assert {first.engine, moved.engine} == {"gpu-sim", "cpu-model"}
+        assert len(calls) == 2
+        assert moved.values is not first.values
+        direct = compute_dos(chain_csr, small_config, backend=moved.engine)
+        assert moved.values.tobytes() == direct.density.tobytes()
+
+    def test_green_energies_share_by_exact_bytes(
+        self, chain_csr, small_config, monkeypatch
+    ):
+        calls = _count_calls(monkeypatch, "greens_function")
+        tuple_grid, list_grid, signed_zero = SpectralService(("numpy",)).serve(
+            [
+                GreenRequest(chain_csr, energies=(0.5, 0.0), config=small_config),
+                GreenRequest(chain_csr, energies=[0.5, 0.0], config=small_config),
+                GreenRequest(chain_csr, energies=(0.5, -0.0), config=small_config),
+            ]
+        )
+        assert len(calls) == 2
+        assert list_grid.values is tuple_grid.values
+        assert signed_zero.values is not tuple_grid.values
+        assert np.signbit(signed_zero.energies[1])
+        assert not np.signbit(tuple_grid.energies[1])
+        with pytest.raises(ValueError, match="read-only"):
+            tuple_grid.values[0] = 0.0
+
+    @pytest.mark.parametrize("capacity", [0, 2])
+    def test_memo_holds_at_most_capacity_pairs(
+        self, capacity, chain_csr, small_config
+    ):
+        service = SpectralService(("numpy",), cache_capacity=capacity)
+        for points in (64, 128, 256, 512, 64, 128):
+            config = small_config.with_updates(num_energy_points=points)
+            [response] = service.serve([DoSRequest(chain_csr, config)])
+            assert len(service._reconstructions) <= max(capacity, 1)
+            direct = compute_dos(chain_csr, config, backend="numpy")
+            assert response.values.tobytes() == direct.density.tobytes()
+
+
+class TestSharedRescale:
+    """One rescale per (operator, bounds method, epsilon)."""
+
+    def test_dos_green_and_ldos_keys_share_one_rescale(
+        self, chain_csr, small_config, monkeypatch
+    ):
+        calls = _count_calls(monkeypatch, "rescale_operator")
+        green_config = small_config.with_updates(seed=8)
+        dos, green, site1, site2 = SpectralService(("gpu-sim",)).serve(
+            [
+                DoSRequest(chain_csr, small_config),
+                GreenRequest(chain_csr, energies=(0.5,), config=green_config),
+                LDoSRequest(chain_csr, site=1, config=small_config),
+                LDoSRequest(chain_csr, site=2, config=small_config),
+            ]
+        )
+        assert len(calls) == 1
+        assert dos.rescaling is green.rescaling is site1.rescaling is site2.rescaling
+        direct = compute_dos(chain_csr, small_config, backend="gpu-sim")
+        assert dos.values.tobytes() == direct.density.tobytes()
+        _, ldos = local_dos(chain_csr, 2, small_config)
+        assert site2.values.tobytes() == ldos.tobytes()
+
+    @pytest.mark.parametrize("change", [{"bounds_method": "lanczos"}, {"epsilon": 0.05}])
+    def test_other_bounds_options_rescale_again(
+        self, change, chain_csr, small_config, monkeypatch
+    ):
+        calls = _count_calls(monkeypatch, "rescale_operator")
+        other_config = small_config.with_updates(**change)
+        base, other, site = SpectralService(("numpy",)).serve(
+            [
+                DoSRequest(chain_csr, small_config),
+                DoSRequest(chain_csr, other_config),
+                LDoSRequest(chain_csr, site=1, config=small_config),
+            ]
+        )
+        assert len(calls) == 2
+        assert site.rescaling is base.rescaling
+        assert other.rescaling != base.rescaling
+        direct = compute_dos(chain_csr, other_config, backend="numpy")
+        assert other.values.tobytes() == direct.density.tobytes()
+
+    def test_tuned_service_keeps_per_key_storage(self, monkeypatch):
+        class SplitTuner(Autotuner):
+            """Stores R = 4 keys as ELL and every other key as CSR."""
+
+            def choose(self, operator, config, spec=None):
+                return TuningChoice(
+                    format="ell" if config.num_random_vectors == 4 else "csr",
+                    block_size=config.block_size,
+                    vector_width=1,
+                    modeled_seconds=1.0,
+                )
+
+        calls = _count_calls(monkeypatch, "rescale_operator")
+        hamiltonian = paper_cubic_hamiltonian(4, format="csr")
+        configs = [
+            KPMConfig(num_moments=16, num_random_vectors=r, seed=1) for r in (4, 8)
+        ]
+        service = SpectralService(("gpu-sim",), tuner=SplitTuner())
+        tuned = service.serve([DoSRequest(hamiltonian, c) for c in configs])
+        assert len(calls) == 1
+        [(_, facts)] = service.memo.items()
+        stored = {identity[1]: op for identity, (op, _) in facts.scaled.items()}
+        assert isinstance(stored[4], ELLMatrix)
+        assert isinstance(stored[8], CSRMatrix)
+        untuned = SpectralService(("gpu-sim",)).serve(
+            [DoSRequest(hamiltonian, c) for c in configs]
+        )
+        for response, reference in zip(tuned, untuned):
+            assert response.outcome == reference.outcome == "served"
+            assert response.values.tobytes() == reference.values.tobytes()

@@ -55,6 +55,11 @@ class TestTransforms:
         result = DenseOperator(a).scale_shift(2.0, -1.0)
         np.testing.assert_allclose(result.to_dense(), 2 * a - np.eye(2))
 
+    @pytest.mark.parametrize("scale, shift", [(np.inf, 0.0), (1.0, np.nan)])
+    def test_scale_shift_rejects_non_finite(self, scale, shift):
+        with pytest.raises(ValidationError, match="finite"):
+            DenseOperator(np.eye(2)).scale_shift(scale, shift)
+
     def test_scale_shift_does_not_mutate_original(self):
         a = np.eye(2)
         op = DenseOperator(a.copy())

@@ -181,6 +181,25 @@ class TestPatternIsFixed:
         np.testing.assert_array_equal(ell.indices, [[0, 1], [1, 0]])
         np.testing.assert_array_equal(ell.sweep_plan.indptr, [0, 2, 4])
 
+    def test_row_nnz_written_in_place_raises(self):
+        # A writable row_nnz let to_dense() drop a stored entry that
+        # matvec still summed.
+        ell = ELLMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            ell.row_nnz[0] = 1
+        with pytest.raises(AttributeError):
+            ell.row_nnz = np.array([1, 1])
+        x = np.array([1.0, 10.0])
+        np.testing.assert_array_equal(ell.matvec(x), [21.0, 30.0])
+        np.testing.assert_array_equal(ell.to_dense() @ x, [21.0, 30.0])
+
+    def test_constructor_keeps_its_own_row_counts(self):
+        row_nnz = np.array([2, 1], dtype=np.int64)
+        ell = ELLMatrix([[1.0, 2.0], [3.0, 0.0]], [[0, 1], [1, 0]], row_nnz, (2, 2))
+        row_nnz[0] = 1
+        np.testing.assert_array_equal(ell.row_nnz, [2, 1])
+        np.testing.assert_array_equal(ell.to_dense(), [[1.0, 2.0], [0.0, 3.0]])
+
 
 class TestTransformations:
     def test_transpose_involution(self):

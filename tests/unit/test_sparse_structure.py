@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.gpu import TESLA_C2050
+from repro.gpukpm import GpuKPM
+from repro.kpm import KPMConfig, rescale_operator
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 from repro.sparse import (
     CSRMatrix,
     StructureProfile,
+    as_format,
     structure_fingerprint,
     structure_profile,
 )
@@ -72,6 +76,36 @@ class TestStructureProfile:
         )
         data = profile.as_dict()
         assert StructureProfile(**data) == profile
+
+
+class TestProfiledOncePerPattern:
+    """A CSR or ELL pattern is read-only, so it is profiled once."""
+
+    CONFIG = KPMConfig(num_moments=16, num_random_vectors=4, block_size=32)
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    def test_repeated_profiles_and_runs_scan_once(self, fmt, profile_scans):
+        scaled, _ = rescale_operator(
+            tight_binding_hamiltonian(cubic(4), format="csr")
+        )
+        op = as_format(scaled, fmt)
+        first = structure_profile(op)
+        assert structure_profile(op) is first
+        kpm = GpuKPM(TESLA_C2050)
+        for _ in range(2):
+            kpm.compute_moments(op, self.CONFIG)
+            kpm.estimate_modeled_seconds(op, self.CONFIG)
+        assert profile_scans == [op.shape]
+        # The kept profile is the one a fresh copy of the pattern gives.
+        copy = CSRMatrix(scaled.indptr, scaled.indices, scaled.data, scaled.shape)
+        assert structure_profile(as_format(copy, fmt)) == first
+
+    def test_every_operator_keeps_its_own_profile(self, profile_scans):
+        a = tight_binding_hamiltonian(chain(6), format="csr")
+        b = tight_binding_hamiltonian(chain(7), format="csr")
+        assert structure_profile(a) != structure_profile(b)
+        assert structure_profile(a).dimension == 6
+        assert len(profile_scans) == 2
 
 
 class TestStructureFingerprint:
