@@ -69,10 +69,13 @@ MATRIX_FIELDS = (
 )
 
 #: Host-side helpers known to read their array arguments and return a
-#: fresh host array (the canonical-sweep entry points among them).
+#: fresh host array (the canonical-sweep entry points, the one Chebyshev
+#: step and the one mean over moment rows among them).
 _HOST_FUNCS = frozenset(
     {
         "random_vector",
+        "chebyshev_rows",
+        "vector_mean",
         "dense_sweep_matvec",
         "dense_sweep_matmat",
         "csr_sweep_matvec",
@@ -657,8 +660,17 @@ class Interp:
                 return Ref(base.param, "dense")
             if attr == "nnz" and spec.nnz is not None:
                 return SymVal(parse_affine(spec.nnz))
+            if attr in ("matvec", "matmat"):
+                # A bound product, handed to a host step, reads the storage.
+                return self._storage(base.param)
             return Opaque()
         return Opaque()
+
+    def _storage(self, param: str) -> TupleVal:
+        """Every storage buffer of matrix parameter ``param``."""
+        spec = dict(self.contract.matrices)[param]
+        fields = [f for f in MATRIX_FIELDS if matrix_field_extent(spec, f) is not None]
+        return TupleVal(tuple(Ref(param, field) for field in fields))
 
     # -- subscripts ----------------------------------------------------
     def _index_sets(self, slice_node: ast.AST) -> list:
@@ -875,10 +887,7 @@ class Interp:
             return Opaque()
         if isinstance(base, MatrixVal):
             if attr in ("matvec", "matmat"):
-                spec = dict(self.contract.matrices)[base.param]
-                for field in MATRIX_FIELDS:
-                    if matrix_field_extent(spec, field) is not None:
-                        self._record(base.param, field, (), "read", node)
+                self._touch_value(self._storage(base.param), node)
                 for value in args:
                     self._touch_value(value, node)
                 return Host()

@@ -7,7 +7,8 @@ Design (one MPI rank per GPU node, the paper's future-work setting):
 2. **Compute** — node ``g`` runs the unmodified single-GPU pipeline on
    its contiguous slice of the ``R*S`` vector range.  Global vector
    numbering keeps the Philox streams identical to a single-device run,
-   so the combined moments are bit-comparable.
+   so every moment row, and (double precision) the reduced moments, are
+   bit-identical to that run's.
 3. **All-reduce** the ``N`` partial moment sums (tree again).
 
 The modeled wall time is ``broadcast + max_g(node time) + allreduce``;
@@ -45,7 +46,7 @@ from repro.gpukpm.estimator import gpu_kpm_breakdown
 from repro.gpukpm.pipeline import CheckpointChunk, GpuKPM
 from repro.gpukpm.spmv import _itemsize, _matvec_model
 from repro.kpm.config import KPMConfig
-from repro.kpm.moments import MomentData
+from repro.kpm.moments import MomentData, reduce_moment_table
 from repro.trace.tracer import current_tracer
 from repro.sparse import as_operator
 from repro.timing import TimingReport, WallTimer
@@ -508,18 +509,7 @@ class MultiGpuKPM:
         if self.resilient:
             breakdown.update(rebalance=rebalance, recovery=recovery)
         breakdown["allreduce"] = allreduce
-        per_realization = (
-            table.reshape(
-                config.num_realizations, config.num_random_vectors, num_moments
-            ).mean(axis=1)
-            / dim
-        )
-        data = MomentData(
-            mu=table.mean(axis=0) / dim,
-            per_realization=per_realization,
-            dimension=dim,
-            num_vectors=config.num_random_vectors,
-        )
+        data = reduce_moment_table(table, config.num_random_vectors, dim)
         suffix = ",resilient" if self.resilient else ""
         report = TimingReport(
             backend=f"multi-gpu-sim(x{self.num_devices}{suffix})",

@@ -3,14 +3,12 @@
 The recursion/reduction pair is exactly the paper's two parallel parts:
 
 * :func:`kpm_recursion_kernel` — part (a): each block generates its
-  random vectors, runs the full N-order Chebyshev recursion over them,
-  and writes the per-vector moments ``mu~_n`` to global memory.  The
-  emulator advances a block's vectors in lockstep, one
-  :meth:`DeviceMatrix.matmat` sweep of their ``(D, B)`` panel per order;
-  the modeled block walks them one by one through the paper's 4-vector
-  global-memory workspace (pointer-swapped, Fig. 4a), which the cost
-  model prices and the pipeline allocates.  A cold or a resume prologue
-  seeds the recursion; one step loop then serves both modes.
+  random vectors, runs the full N-order Chebyshev recursion over them
+  through the one host step :func:`repro.kpm.moments.chebyshev_rows`,
+  and writes the per-vector moments ``mu~_n`` to global memory; the
+  modeled block walks them one by one through the paper's 4-vector
+  global-memory workspace (Fig. 4a), which the cost model prices and
+  the pipeline allocates.
 * :func:`reduce_moments_kernel` — part (b): parallel mean of the
   ``mu~`` table over the ``R*S`` vectors (paper Fig. 4b).
 
@@ -41,6 +39,7 @@ import numpy as np
 from repro.errors import DeviceError
 from repro.gpu.contracts import ArraySpec, KernelContract, LaunchMode, MatrixSpec
 from repro.gpu.kernel import kernel
+from repro.kpm.moments import chebyshev_rows, vector_mean
 from repro.kpm.random_vectors import random_vector
 from repro.sparse.sweep import (
     csr_sweep_matmat,
@@ -147,9 +146,8 @@ class DeviceMatrix:
 # Launch-domain contract of the recursion kernel (rules RA016–RA020).
 # The four modes close the `resume_state is None` / `state_out is None`
 # branches; cold modes pin start_moment = 0 because the host launches
-# them that way (the cold prologue fills moment columns 0 and 1 and
-# its loop starts at order 2, so column `order - start_moment` only
-# lines up at start_moment 0).
+# them that way (a cold launch hands the step no prev/cur pair, and the
+# step starts such a recursion only at order 0 or 1).
 _KPM_RECURSION_CONTRACT = KernelContract(
     symbols={
         "D": (1, None),
@@ -223,37 +221,23 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
 ):
     """Part (a): full recursion for this block's vectors.
 
-    The block's ``B`` vectors advance in lockstep: ``r0`` holds their
-    start vectors ``|r>`` as ``(B, D)`` rows, and ``prev``/``cur`` hold
-    ``r_{n-2}``, ``r_{n-1}`` as ``(D, B)`` panels.  Each order does five
-    things: one :meth:`DeviceMatrix.matmat` sweep of the panel, the
-    in-place update ``nxt *= 2; nxt -= prev`` (which rounds as
-    ``2 * y - prev`` does), one copy of the panel into a ``(B, D)`` rows
-    buffer, one stacked ``np.matmul`` of ``r0`` with those rows into a
-    dots buffer, and a store of the dots into a host-local ``(B, width)``
-    moment array.  The rows, dots and moment buffers are allocated once
-    per block, and the block writes its moment rows to ``mu~`` once,
-    after the loop.  Each stacked product is the contiguous BLAS dot
-    that a 1-D ``r0 @ y`` calls, so every vector's moment keeps the bits
-    of the single-vector recursion; ``np.einsum`` or a dot over the
-    strided panel columns can round differently.  All of these are the
-    emulator's host scratch, like every matvec output; the cost model
-    still prices a block that walks its vectors through the paper's
-    4-vector workspace and stores each moment to global memory
-    (Sec. III-B2, Fig. 4a).
+    ``r0`` holds the block's ``B`` start vectors as ``(B, D)`` rows, and
+    :func:`~repro.kpm.moments.chebyshev_rows` advances them in lockstep,
+    one ``matrix.matmat`` sweep of their ``(D, B)`` panel per order, into
+    a ``(B, width)`` moment array that the block writes to ``mu~`` once.
+    The step's buffers are the emulator's host scratch, like every
+    matvec output; the cost model prices the paper's per-vector walk
+    and per-moment stores (Sec. III-B2, Fig. 4a).  The step raises
+    :class:`~repro.errors.SpectrumError` for a spectrum outside
+    ``[-1, 1]``.
 
     ``first_vector`` offsets the global vector numbering so a device
     working on a partition (multi-GPU, :mod:`repro.cluster`) consumes
     exactly the same random streams as a single device would.
 
-    A prologue seeds ``prev``/``cur``, then one step loop runs the
-    orders ``first..num_moments-1`` into moment column
-    ``order - start_moment``.  The cold prologue computes ``mu~_0`` and
-    ``mu~_1`` from ``(r_0, H r_0)`` and starts the loop at order 2.
-    Resume mode (``start_moment >= 2`` with ``resume_state``) loads the
-    uploaded per-vector state ``(r_{start-2}, r_{start-1})`` instead,
-    regenerates ``|r>`` from its Philox stream and starts the loop at
-    ``start_moment``; since both modes run the same step, the emitted
+    Order ``n`` lands in moment column ``n - start_moment``.  Resume
+    mode (``start_moment >= 2`` with ``resume_state``) hands the step
+    the uploaded pair ``(r_{start-2}, r_{start-1})`` per vector, so its
     moments are bit-identical to a cold run at the higher order.
     ``state_out`` (requires ``num_moments >= 2``) captures the final
     ``(r_{N-2}, r_{N-1})`` pair per vector for a later resume.
@@ -288,35 +272,14 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
             )
         )
     r0 = np.array(starts, dtype=mu_tilde.dtype)
-    # Host scratch, allocated once per block: the panel's rows, one dot
-    # per vector, and the block's moment rows.
-    rows = np.empty_like(r0)
-    dots = np.empty((len(block_vectors), 1, 1), dtype=r0.dtype)
-    moments = np.empty((len(block_vectors), num_moments - start_moment), dtype=r0.dtype)
-    lhs, rhs, dot = r0[:, None, :], rows[:, :, None], dots[:, 0, 0]
-    if resume_state is None:
-        np.matmul(lhs, r0[:, :, None], out=dots)
-        moments[:, 0] = dot
-        prev = cur = r0.T  # r_0; r_1 follows when N > 1
-        if num_moments > 1:
-            cur = matrix.matmat(prev)  # r_1
-            rows[...] = cur.T
-            np.matmul(lhs, rhs, out=dots)
-            moments[:, 1] = dot
-        first = 2
-    else:
+    prev = cur = None
+    if resume_state is not None:
         # The checkpointed pair (r_{start-2}, r_{start-1}).
         prev = resume_state.data[block_vectors, 0].T
         cur = resume_state.data[block_vectors, 1].T
-        first = start_moment
-    for order in range(first, num_moments):
-        nxt = matrix.matmat(cur)
-        nxt *= 2.0
-        nxt -= prev
-        rows[...] = nxt.T
-        np.matmul(lhs, rhs, out=dots)
-        moments[:, order - start_moment] = dot
-        prev, cur = cur, nxt
+    moments, prev, cur, _ = chebyshev_rows(
+        matrix.matmat, r0, start_moment, num_moments, prev, cur
+    )
     mu_tilde.data[block_vectors] = moments
     if state_out is not None:
         state_out.data[block_vectors, 0] = prev.T  # r_{N-2}
@@ -336,13 +299,18 @@ _REDUCE_MOMENTS_CONTRACT = KernelContract(
 def reduce_moments_kernel(  # repro: noqa[RA005] -- block program; host pipeline validates the launch
     ctx, mu_tilde, mu_out, footprint_bytes, precision="double"
 ):
-    """Part (b): ``mu_n = mean_v mu~_{v,n}`` — one thread per order."""
+    """Part (b): ``mu_n = mean_v mu~_{v,n}`` — one thread per order.
+
+    Each block gathers its orders' columns and takes
+    :func:`~repro.kpm.moments.vector_mean` of them, the mean every host
+    engine and the cluster reduce their tables with.
+    """
     orders = ctx.thread_range(mu_out.shape[0])
     if orders.size == 0:
         return
     total_vectors = mu_tilde.shape[0]
     item = mu_tilde.data.dtype.itemsize
-    mu_out.data[orders] = mu_tilde.data[:, orders].mean(axis=0)
+    mu_out.data[orders] = vector_mean(mu_tilde.data[:, orders])
     ctx.charge(
         flops=float(total_vectors * orders.size),
         gmem_read=float(total_vectors * orders.size * item),

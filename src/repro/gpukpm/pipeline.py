@@ -38,6 +38,7 @@ from repro.gpukpm.stats import (
 )
 from repro.kpm.config import KPMConfig
 from repro.kpm.moments import MomentData, _check_extension, _run_key
+from repro.kpm.moments import reduce_moment_table, vector_mean
 from repro.trace.tracer import current_tracer
 from repro.sparse import CSRMatrix, ELLMatrix, as_format, as_operator
 from repro.timing import TimingReport, WallTimer
@@ -290,18 +291,8 @@ class GpuKPM:
                 **resume,
             )
         dim = as_operator(scaled_operator).shape[0]
-        per_realization = (
-            host_mu_tilde.reshape(
-                config.num_realizations, config.num_random_vectors, -1
-            ).mean(axis=1)
-            / dim
-        )
-        data = MomentData(
-            mu=host_mu / dim,
-            per_realization=per_realization,
-            dimension=dim,
-            num_vectors=config.num_random_vectors,
-        )
+        r = config.num_random_vectors
+        data = reduce_moment_table(host_mu_tilde, r, dim, mu=host_mu)
         return data, self._timing_report(device, timer.seconds)
 
     def _timing_report(self, device: Device, wall_seconds: float) -> TimingReport:
@@ -373,14 +364,7 @@ class GpuKPM:
             resume_state=state.data,
             state_sink=captured.append,
         )
-        extended = MomentData(
-            mu=np.concatenate([data.mu, new.mu]),
-            per_realization=np.concatenate(
-                [data.per_realization, new.per_realization], axis=1
-            ),
-            dimension=new.dimension,
-            num_vectors=config.num_random_vectors,
-        )
+        extended = data.followed_by(new)
         new_state = replace(state, num_moments=config.num_moments, data=captured[0])
         return extended, report, new_state
 
@@ -623,7 +607,7 @@ class GpuKPM:
                             )
 
                 if checkpointing:
-                    host_mu = host_mu_tilde.mean(axis=0)
+                    host_mu = vector_mean(host_mu_tilde)
                 else:
                     # --- part (b): reduction --------------------------------
                     mu_out = device.alloc(width, dtype=dtype, name="mu")

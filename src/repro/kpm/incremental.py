@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.kpm.moments import MomentData, extend_recursion, moments_resumable
+from repro.kpm.moments import reduce_moment_table
 from repro.kpm.random_vectors import available_vector_kinds, random_block
 from repro.kpm.reconstruct import dos_from_moments
 from repro.kpm.rescale import rescale_operator
@@ -105,7 +106,7 @@ class SpectralDensity:
             vector_kind, "vector_kind", available_vector_kinds()
         )
         self.seed = seed
-        #: Raw per-vector moments ``<r|T_n|r>/D``, shape (vectors, N).
+        #: Raw per-vector moments ``<r|T_n|r>``, shape (vectors, N).
         self._table = np.empty((0, self.num_moments), dtype=np.float64)
         #: One recursion checkpoint per ``add_vectors`` group, in call
         #: order; ``add_moments`` resumes each instead of replaying.
@@ -130,7 +131,7 @@ class SpectralDensity:
         )
         raw, checkpoint = moments_resumable(self.scaled, block, num_moments)
         self.matvecs_performed += max(num_moments - 1, 0) * count
-        return raw.T / self.dimension, checkpoint
+        return raw.T, checkpoint
 
     # ------------------------------------------------------------------
     def add_vectors(self, count: int) -> "SpectralDensity":
@@ -164,7 +165,7 @@ class SpectralDensity:
         advanced = []
         for checkpoint in self._checkpoints:
             segment, state = extend_recursion(self.scaled, checkpoint, target)
-            segments.append(segment.T / self.dimension)  # (count, extra)
+            segments.append(segment.T)  # (count, extra)
             advanced.append(state)
         # Phase 2: commit.
         if segments:
@@ -183,18 +184,14 @@ class SpectralDensity:
             raise ValidationError(
                 "no vectors accumulated yet; call add_vectors() first"
             )
-        return MomentData(
-            mu=self._table.mean(axis=0),
-            per_realization=self._table,
-            dimension=self.dimension,
-            num_vectors=1,
-        )
+        return reduce_moment_table(self._table, 1, self.dimension)
 
     def moment_error_estimate(self) -> np.ndarray:
         """Standard error of each moment over the accumulated vectors."""
         if self.num_vectors < 2:
             return np.full(self.num_moments, np.inf, dtype=np.float64)
-        return self._table.std(axis=0, ddof=1) / np.sqrt(self.num_vectors)
+        per_vector = self._table / self.dimension
+        return per_vector.std(axis=0, ddof=1) / np.sqrt(self.num_vectors)
 
     def density_error_estimate(self) -> float:
         """Scalar noise proxy: RMS moment standard error (scaled axis).

@@ -5,40 +5,39 @@ recursion
 
     |r_0> = |r>,  |r_1> = H~ |r_0>,  |r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>,
 
-with one dot product ``mu~_n = <r_0 | r_n>`` per order.  The recursion
-is written once, in :func:`extend_recursion`, together with the
-moment-doubling variant (two moments per matvec, Weiße et al.,
-arXiv:cond-mat/0504627 — an optimization the paper leaves on the
-table).  Everything else here is built on that loop: the single-vector
-and column-batched recursions (the latter the vectorized equivalent of
-the paper's thread-block parallelism), the stochastic trace estimator,
-and the exact trace for validation.
+with one dot product ``mu~_n = <r_0 | r_n>`` per order.
+
+**One step, one mean, one check.**  :func:`chebyshev_rows` is the only
+place the step is written; the host recursions here and the device
+kernel (:func:`repro.gpukpm.kernels.kpm_recursion_kernel`) call it with
+their own product.  It dots each start row with a contiguous copy of
+its panel column, the BLAS dot a 1-D ``r @ y`` calls, so a vector's
+moments do not depend on its block and every engine computes the same
+per-vector rows; moment doubling (two moments per matvec, Weiße et al.,
+arXiv:cond-mat/0504627) runs in the same form on the host.
+:func:`reduce_moment_table` reduces every engine's ``(R*S, N)`` table
+with the one mean :func:`vector_mean`.  The step raises
+:class:`~repro.errors.SpectrumError` at the first order where some
+``|mu~_n|`` is not finite or exceeds ``10**3 * max(|mu~_0|, 1)``
+(``|<r|T_n|r>| <= ||r||^2`` for a spectrum inside ``[-1, 1]``).
 
 Moments returned by the *low-level* routines are raw ``<r|T_n(H~)|r>``
 values; :func:`stochastic_moments` and :func:`exact_moments` normalize by
 the dimension ``D`` so that ``mu_0 ~= 1``.
 
-**Two entry points, one loop.**  :func:`moments_resumable` builds the
-order-0 :class:`RecursionCheckpoint` of a start vector or block and
-hands it to :func:`extend_recursion`, which continues the loop from any
-checkpoint; a cold run *is* an extension from an empty checkpoint.
+**Two entry points, one loop.**  :func:`extend_recursion` continues the
+loop from any :class:`RecursionCheckpoint`, and a cold
+:func:`moments_resumable` run *is* an extension from an empty one.
 ``mu_n`` depends only on ``r_0 .. r_n`` — never on the truncation order
 — so extending a checkpoint taken at ``N`` up to ``M`` yields orders
 ``[N, M)`` bit-identical to a cold run at ``M`` without replaying
 orders ``0 .. N-1``.  The serve layer's prefix-closed moment cache is
 built on exactly this contract.
-
-**The start's rank picks the arithmetic, once per call.**  A 1-D start
-vector runs ``op.matvec`` with the BLAS dot ``float(a @ b)``; a
-``(D, R)`` block runs ``op.matmat`` with the per-column
-``einsum("ij,ij->j")``.  The two dots can disagree in the last bit, so
-a single vector is deliberately *not* run as an ``R = 1`` block: that
-would change local-DoS numerics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +52,9 @@ __all__ = [
     "MomentData",
     "RecursionCheckpoint",
     "TraceCheckpoint",
+    "chebyshev_rows",
+    "vector_mean",
+    "reduce_moment_table",
     "moments_single_vector",
     "moments_block",
     "moments_resumable",
@@ -146,39 +148,123 @@ class MomentData:
             num_vectors=self.num_vectors,
         )
 
+    def followed_by(self, later: "MomentData") -> "MomentData":
+        """These orders, then ``later``'s: the data of an extended run."""
+        mu = np.concatenate([self.mu, later.mu])
+        per = np.concatenate([self.per_realization, later.per_realization], axis=1)
+        return MomentData(mu, per, later.dimension, later.num_vectors)
 
-def _check_moment_magnitude(value: float, order: int) -> None:
-    if not np.isfinite(value) or abs(value) > _DIVERGENCE_FACTOR:
+
+def vector_mean(table) -> np.ndarray:
+    """The one mean over random vectors (paper Fig. 4b), one per order.
+
+    Each order's column is summed pairwise over its contiguous rows, in
+    the table's dtype, so an order's mean depends on its column only.
+    """
+    if np.ndim(table) != 2:
+        raise ShapeError(f"table must be 2-D (vectors, orders), got {np.shape(table)}")
+    return np.asfortranarray(table).mean(axis=0)
+
+
+def reduce_moment_table(
+    table, num_vectors: int, dimension: int, *, mu=None
+) -> MomentData:
+    """:class:`MomentData` of a ``(R*S, N)`` table of raw per-vector moments.
+
+    Rows are vectors in realization order, ``num_vectors`` (``R``) per
+    realization: ``mu`` is their :func:`vector_mean` (or the one a device
+    already took), ``per_realization`` each realization's row-by-row
+    mean, both divided by ``dimension``.
+    """
+    num_vectors = check_positive_int(num_vectors, "num_vectors")
+    if mu is None:
+        mu = vector_mean(table)
+    per_realization = table.reshape(-1, num_vectors, table.shape[1]).mean(axis=1)
+    per_realization /= dimension
+    return MomentData(mu / dimension, per_realization, dimension, num_vectors)
+
+
+def _check_divergence(moments: np.ndarray, mu0: np.ndarray, first: int) -> None:
+    """Raise :class:`SpectrumError` at the first order whose moments diverged."""
+    ratio = np.abs(moments) / np.maximum(np.abs(mu0), 1.0)[:, None]
+    if not ratio.max(initial=0.0) <= _DIVERGENCE_FACTOR:  # NaN fails it too
+        column = int((~(ratio <= _DIVERGENCE_FACTOR)).any(axis=0).argmax())
         raise SpectrumError(
-            f"moment of order {order} diverged (value {value!r}); the operator's "
-            "spectrum is not contained in [-1, 1] — rescale it first "
-            "(repro.kpm.rescale_operator)"
+            f"moment of order {first + column} diverged (value "
+            f"{float(ratio[:, column].max())!r}); the operator's spectrum is not "
+            "contained in [-1, 1] — rescale it first (repro.kpm.rescale_operator)"
         )
 
 
-def _vector_dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a @ b)
+def chebyshev_rows(
+    apply, rows, first: int, stop: int, prev=None, cur=None, *, mu1=None,
+    doubling: bool = False,
+):
+    """Raw moments of orders ``[first, stop)`` for a block of start rows.
 
-
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", a, b)
-
-
-def _column_peak(row: np.ndarray) -> float:
-    return float(np.abs(row).max(initial=0.0))
-
-
-def _rank_arithmetic(op, start: np.ndarray):
-    """``(apply, dot, peak)`` for a 1-D start vector or a ``(D, R)`` block.
-
-    ``peak`` reduces one order's moments to the scalar the divergence
-    check bounds: the moment itself for a vector, ``max|row|`` for a
-    block (0 for an empty one).  See the module docstring for why the
-    dot depends on rank.
+    ``apply`` multiplies a ``(D, B)`` panel by ``H~`` into a fresh array;
+    ``rows`` holds the start vectors as C-ordered ``(B, D)`` rows, in the
+    recursion's dtype.  Without the ``(D, B)`` pair ``prev``/``cur`` the
+    recursion starts from ``rows``; with it, resumes from
+    ``r_{first-2}, r_{first-1}``, or under ``doubling`` from
+    ``a_{k-1}, a_k`` (``k = max(first // 2, 1)``) and the order-1
+    moments ``mu1``.  Each order sweeps the panel, updates it in place,
+    copies it into a ``(B, D)`` rows buffer and writes one stacked
+    ``np.matmul`` of ``rows`` with it.  Returns the ``(B, stop - first)``
+    moment rows and the ``prev``, ``cur`` and ``mu1`` to resume from
+    (``None`` while the recursion has not started).
     """
-    if start.ndim == 1:
-        return op.matvec, _vector_dot, float
-    return op.matmat, _column_dots, _column_peak
+    if cur is None and first > 1:
+        raise ValidationError(f"resuming at order {first} needs a prev/cur pair")
+    panel = np.empty_like(rows)
+    # Order-major moment storage: each stacked product writes its order's
+    # (B, 1, 1) slot; ``moments`` views the slots as (B, stop - first).
+    slots = np.empty((stop - first, rows.shape[0], 1, 1), dtype=rows.dtype)
+    moments = slots[:, :, 0, 0].T
+    lhs, rhs = rows[:, None, :], panel[:, :, None]
+    mu0 = np.matmul(lhs, rows[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cur is None:
+            if first == 0:
+                moments[:, 0] = mu0
+            if stop > 1:
+                prev = rows.T
+                cur = apply(prev)
+                panel[...] = cur.T
+                mu1 = np.matmul(lhs, rhs)[:, 0, 0]
+                moments[:, 1 - first] = mu1
+        if not doubling:
+            for order in range(max(first, 2), stop):
+                nxt = apply(cur)
+                nxt *= 2.0
+                nxt -= prev
+                panel[...] = nxt.T
+                np.matmul(lhs, rhs, out=slots[order - first])
+                prev, cur = cur, nxt
+        else:
+            ahead = np.empty_like(panel)  # rows of a_{k+1}; panel holds a_k's
+            for k in range(max(first // 2, 1), (stop + 1) // 2):
+                panel[...] = cur.T
+                if 2 * k >= first:
+                    even = 2 * k - first
+                    np.matmul(panel[:, None, :], rhs, out=slots[even])
+                    moments[:, even] = 2.0 * moments[:, even] - mu0
+                if 2 * k + 1 < stop:
+                    nxt = apply(cur)
+                    nxt *= 2.0
+                    nxt -= prev
+                    ahead[...] = nxt.T
+                    odd = 2 * k + 1 - first
+                    np.matmul(ahead[:, None, :], rhs, out=slots[odd])
+                    moments[:, odd] = 2.0 * moments[:, odd] - mu1
+                    prev, cur = cur, nxt
+        _check_divergence(moments, mu0, first)
+    return moments, prev, cur, mu1
+
+
+def _shaped(moments: np.ndarray, vector: bool) -> np.ndarray:
+    """Step rows ``(B, n)`` as the public ``(n,)`` or ``(n, B)`` result."""
+    return moments[0] if vector else np.ascontiguousarray(moments.T)
 
 
 def moments_single_vector(
@@ -190,9 +276,7 @@ def moments_single_vector(
     checkpoint.
     """
     if np.ndim(start_vector) != 1:
-        raise ShapeError(
-            f"start_vector must be 1-D, got shape {np.shape(start_vector)}"
-        )
+        raise ShapeError(f"start_vector must be 1-D, got shape {np.shape(start_vector)}")
     return moments_resumable(
         operator, start_vector, num_moments, use_doubling=use_doubling
     )[0]
@@ -204,13 +288,11 @@ def moments_block(
     """Raw moments for a ``(D, R)`` block of start vectors, shape ``(N, R)``.
 
     Column ``r`` of the result equals
-    ``moments_single_vector(operator, start_block[:, r], ...)`` up to
-    floating-point reduction order.
+    ``moments_single_vector(operator, start_block[:, r], ...)`` bit for
+    bit: every vector runs the same one-row arithmetic in any block.
     """
     if np.ndim(start_block) != 2:
-        raise ShapeError(
-            f"start_block must be 2-D (D, R), got shape {np.shape(start_block)}"
-        )
+        raise ShapeError(f"start_block must be 2-D (D, R), got {np.shape(start_block)}")
     return moments_resumable(
         operator, start_block, num_moments, use_doubling=use_doubling
     )[0]
@@ -218,29 +300,43 @@ def moments_block(
 
 @dataclass
 class RecursionCheckpoint:
-    """Resumable tail state of one three-term recursion.
+    """Resumable tail state of one block's three-term recursion.
 
-    Everything :func:`extend_recursion` needs to continue the loop
-    exactly where the previous call stopped.  ``start`` is ``|r_0>`` (or
-    the ``(D, R)`` start block); in the plain path ``prev``/``cur`` are
-    ``r_{N-2}``/``r_{N-1}`` and ``k == N - 1``; in the doubling path they
-    are ``a_{k-1}``/``a_k`` with ``k`` the Chebyshev index of ``cur``
-    (for odd ``N`` the last half-step produces no new ``a``, so ``k`` can
-    lag ``N``).  ``mu0`` / ``mu1`` are the raw order-0/1 moments the
-    doubling corrections reference; ``scale`` is the divergence-check
-    normalization.  At ``num_moments == 1`` the recursion has not
-    started: ``prev``, ``cur`` and ``mu1`` are ``None``.
+    ``rows`` holds the start vectors as ``(B, D)`` rows (one row for a
+    1-D start, flagged by ``vector``), and ``num_moments`` the orders
+    produced so far.  ``prev``/``cur``/``mu1`` are what
+    :func:`chebyshev_rows` resumes from: ``r_{N-2}``/``r_{N-1}`` as
+    ``(D, B)`` panels, or ``a_{k-1}``/``a_k`` with ``k = N // 2`` and the
+    order-1 moments under doubling; ``None`` before the recursion starts.
     """
 
-    start: np.ndarray
-    prev: np.ndarray | None
-    cur: np.ndarray | None
-    k: int
-    num_moments: int
-    scale: float
+    rows: np.ndarray
+    vector: bool
     use_doubling: bool
-    mu0: object
-    mu1: object
+    num_moments: int = 0
+    prev: np.ndarray | None = None
+    cur: np.ndarray | None = None
+    mu1: np.ndarray | None = None
+
+    @property
+    def k(self) -> int:
+        """Chebyshev index of ``cur`` (0 before the recursion starts)."""
+        if self.cur is None:
+            return 0
+        return self.num_moments // 2 if self.use_doubling else self.num_moments - 1
+
+
+def _advance(op, checkpoint: RecursionCheckpoint, num_moments: int):
+    """Rows of orders ``[checkpoint.num_moments, num_moments)``; new checkpoint."""
+    moments, prev, cur, mu1 = chebyshev_rows(
+        op.matmat, checkpoint.rows, checkpoint.num_moments, num_moments,
+        checkpoint.prev, checkpoint.cur, mu1=checkpoint.mu1,
+        doubling=checkpoint.use_doubling,
+    )
+    return moments, RecursionCheckpoint(
+        checkpoint.rows, checkpoint.vector, checkpoint.use_doubling,
+        num_moments, prev, cur, mu1,
+    )
 
 
 def moments_resumable(
@@ -248,24 +344,12 @@ def moments_resumable(
 ) -> tuple[np.ndarray, RecursionCheckpoint]:
     """Raw moments ``<r|T_n(H~)|r>`` plus a checkpoint to extend them from.
 
-    Parameters
-    ----------
-    operator:
-        The *rescaled* Hamiltonian ``H~`` (spectrum inside ``[-1, 1]``).
-    start:
-        ``|r>`` of length ``D``, or a ``(D, R)`` block of start vectors.
-    num_moments:
-        ``N`` — number of moments to produce.
-    use_doubling:
-        Use ``mu_{2k} = 2<r_k|r_k> - mu_0`` and
-        ``mu_{2k+1} = 2<r_{k+1}|r_k> - mu_1`` to halve the matvec count.
-
-    Returns
-    -------
-    (mu, checkpoint):
-        Moments of shape ``(N,)`` or ``(N, R)``, and the
-        :class:`RecursionCheckpoint` :func:`extend_recursion` continues
-        from.
+    ``operator`` is the *rescaled* ``H~`` (spectrum inside ``[-1, 1]``),
+    ``start`` one vector ``|r>`` of length ``D`` or a ``(D, R)`` block of
+    them.  ``use_doubling`` uses ``mu_{2k} = 2<r_k|r_k> - mu_0`` and
+    ``mu_{2k+1} = 2<r_{k+1}|r_k> - mu_1`` to halve the matvec count.
+    Returns the ``N`` moments, shaped ``(N,)`` or ``(N, R)``, and the
+    :class:`RecursionCheckpoint` :func:`extend_recursion` continues from.
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
@@ -275,24 +359,11 @@ def moments_resumable(
         raise ShapeError(
             f"start must have shape ({dim},) or ({dim}, R), got {start.shape}"
         )
-    _, dot, peak = _rank_arithmetic(op, start)
-    mu0 = dot(start, start)
-    checkpoint = RecursionCheckpoint(
-        start=start,
-        prev=None,
-        cur=None,
-        k=0,
-        num_moments=1,
-        scale=max(peak(mu0), 1.0),
-        use_doubling=bool(use_doubling),
-        mu0=mu0,
-        mu1=None,
-    )
-    mu = np.empty((num_moments, *start.shape[1:]), dtype=np.float64)
-    mu[0] = mu0
-    if num_moments > 1:
-        mu[1:], checkpoint = extend_recursion(op, checkpoint, num_moments)
-    return mu, checkpoint
+    vector = start.ndim == 1
+    rows = np.ascontiguousarray(start[None, :] if vector else start.T)
+    empty = RecursionCheckpoint(rows, vector, bool(use_doubling))
+    moments, checkpoint = _advance(op, empty, num_moments)
+    return _shaped(moments, vector), checkpoint
 
 
 def extend_recursion(
@@ -302,8 +373,8 @@ def extend_recursion(
 
     Returns the *new segment* — raw moments of orders
     ``[checkpoint.num_moments, num_moments)``, one row per order — and
-    the advanced checkpoint.  This is the only place the recursion step
-    is written, so ``concat(old, segment)`` is bit-identical to a cold
+    the advanced checkpoint.  The step is the cold run's, so
+    ``concat(old, segment)`` is bit-identical to a cold
     :func:`moments_resumable` run at ``num_moments``.
     """
     op = as_operator(operator)
@@ -312,10 +383,9 @@ def extend_recursion(
         raise ValidationError(
             f"checkpoint must be a RecursionCheckpoint, got {type(checkpoint).__name__}"
         )
-    start = checkpoint.start
-    if start.shape[0] != op.shape[0]:
+    if checkpoint.rows.shape[1] != op.shape[0]:
         raise ShapeError(
-            f"checkpoint dimension {start.shape[0]} does not match "
+            f"checkpoint dimension {checkpoint.rows.shape[1]} does not match "
             f"operator dimension {op.shape[0]}"
         )
     base = checkpoint.num_moments
@@ -324,44 +394,8 @@ def extend_recursion(
             f"extension target {num_moments} must exceed the checkpoint's "
             f"{base} moments"
         )
-    apply, dot, peak = _rank_arithmetic(op, start)
-    scale = checkpoint.scale
-    segment = np.empty((num_moments - base, *start.shape[1:]), dtype=np.float64)
-
-    def emit(order: int, value) -> None:
-        segment[order - base] = value
-        _check_moment_magnitude(peak(value) / scale, order)
-
-    prev, cur, k = checkpoint.prev, checkpoint.cur, checkpoint.k
-    mu1 = checkpoint.mu1
-    known = base
-    if cur is None:
-        # Only mu_0 is known: start the recursion.
-        prev, cur = start, apply(start)
-        mu1 = dot(start, cur)
-        emit(1, mu1)
-        k, known = 1, 2
-    if checkpoint.use_doubling:
-        # cur = T_k(H~) r_0; every matvec yields mu_{2k} and mu_{2k+1}.
-        while 2 * k < num_moments:
-            if 2 * k >= known:
-                emit(2 * k, 2.0 * dot(cur, cur) - checkpoint.mu0)
-            if 2 * k + 1 >= num_moments:
-                break
-            nxt = 2.0 * apply(cur) - prev
-            if 2 * k + 1 >= known:
-                emit(2 * k + 1, 2.0 * dot(nxt, cur) - mu1)
-            prev, cur, k = cur, nxt, k + 1
-    else:
-        for order in range(known, num_moments):
-            nxt = 2.0 * apply(cur) - prev
-            emit(order, dot(start, nxt))
-            prev, cur = cur, nxt
-        k = num_moments - 1
-    advanced = replace(
-        checkpoint, prev=prev, cur=cur, k=k, num_moments=num_moments, mu1=mu1
-    )
-    return segment, advanced
+    segment, advanced = _advance(op, checkpoint, num_moments)
+    return _shaped(segment, checkpoint.vector), advanced
 
 
 def _run_key(config: KPMConfig) -> tuple:
@@ -428,42 +462,33 @@ class TraceCheckpoint:
         return int(self.checkpoints[0].num_moments)
 
 
-def _trace(
-    op,
-    config: KPMConfig,
-    *,
-    per_vector: np.ndarray | None = None,
-    checkpoints: list | None = None,
-) -> MomentData:
-    """The stochastic trace over every realization's block recursion.
+def _trace(op, config: KPMConfig, states, base: int = 0, advanced=None):
+    """Advance every realization's block from ``states`` to ``config.num_moments``.
 
-    Fills ``per_vector`` (``(S, R, N)``) and appends each realization's
-    checkpoint to ``checkpoints`` when given.  Without ``checkpoints`` no
-    realization's recursion vectors outlive its loop iteration, so the
-    cold path's memory does not grow with ``S``.
+    Returns the data of orders ``[base, N)`` and their ``(R*S, N - base)``
+    table of raw per-vector moments; keeps each advanced state only in
+    ``advanced``, so lazy cold ``states`` hold one block's vectors at a time.
     """
-    dim = op.shape[0]
-    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
-    per_realization = np.empty((s, n), dtype=np.float64)
-    for realization in range(s):
+    n, r = config.num_moments, config.num_random_vectors
+    table = np.empty((config.total_vectors, n - base), dtype=np.float64)
+    for realization, state in enumerate(states):
+        moments, state = _advance(op, state, n)
+        table[realization * r : (realization + 1) * r] = moments
+        if advanced is not None:
+            advanced.append(state)
+        del state  # unless kept, free its vectors before the next block
+    return reduce_moment_table(table, r, op.shape[0]), table
+
+
+def _cold_states(op, config: KPMConfig):
+    """Empty checkpoints of every realization's start block, built lazily."""
+    for realization in range(config.num_realizations):
         block = random_block(
-            dim, r, config.vector_kind, seed=config.seed, realization=realization
+            op.shape[0], config.num_random_vectors, config.vector_kind,
+            seed=config.seed, realization=realization,
         )
-        raw, checkpoint = moments_resumable(
-            op, block, n, use_doubling=config.use_doubling
-        )  # (N, R)
-        if per_vector is not None:
-            per_vector[realization] = raw.T / dim
-        if checkpoints is not None:
-            checkpoints.append(checkpoint)
-        del checkpoint  # unless kept, free its vectors before the next block
-        per_realization[realization] = raw.mean(axis=1) / dim
-    return MomentData(
-        mu=per_realization.mean(axis=0),
-        per_realization=per_realization,
-        dimension=dim,
-        num_vectors=r,
-    )
+        rows = np.ascontiguousarray(block.T)
+        yield RecursionCheckpoint(rows, False, config.use_doubling)
 
 
 def stochastic_moments(
@@ -492,13 +517,13 @@ def stochastic_moments(
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     op = as_operator(operator)
+    data, table = _trace(op, config, _cold_states(op, config))
     if not keep_per_vector:
-        return _trace(op, config)
-    per_vector = np.empty(
-        (config.num_realizations, config.num_random_vectors, config.num_moments),
-        dtype=np.float64,
+        return data
+    per_vector = table.reshape(
+        config.num_realizations, config.num_random_vectors, config.num_moments
     )
-    return _trace(op, config, per_vector=per_vector), per_vector
+    return data, per_vector / data.dimension
 
 
 def stochastic_moments_resumable(
@@ -513,8 +538,9 @@ def stochastic_moments_resumable(
     """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
+    op = as_operator(operator)
     checkpoints: list = []
-    data = _trace(as_operator(operator), config, checkpoints=checkpoints)
+    data, _ = _trace(op, config, _cold_states(op, config), advanced=checkpoints)
     return data, TraceCheckpoint(checkpoints=checkpoints, run_key=_run_key(config))
 
 
@@ -544,22 +570,10 @@ def extend_stochastic_moments(
         )
     op = as_operator(operator)
     base = checkpoint.num_moments
-    target = config.num_moments
     _check_extension(checkpoint.run_key, base, data, config)
-    dim = data.dimension
-    new_columns = np.empty((config.num_realizations, target - base), dtype=np.float64)
-    advanced = []
-    for realization, state in enumerate(checkpoint.checkpoints):
-        segment, state = extend_recursion(op, state, target)
-        new_columns[realization] = segment.mean(axis=1) / dim
-        advanced.append(state)
-    per_realization = np.concatenate([data.per_realization, new_columns], axis=1)
-    extended = MomentData(
-        mu=per_realization.mean(axis=0),
-        per_realization=per_realization,
-        dimension=dim,
-        num_vectors=data.num_vectors,
-    )
+    advanced: list = []
+    columns, _ = _trace(op, config, checkpoint.checkpoints, base, advanced)
+    extended = data.followed_by(columns)
     return extended, TraceCheckpoint(checkpoints=advanced, run_key=checkpoint.run_key)
 
 

@@ -140,13 +140,15 @@ def _run_tune() -> None:
     is covered by the ``dos`` workload; this pins CSR (as the ``csr``
     and ``csr-vector`` formats) and ELL explicitly (pinned format, not
     tuner-driven, so coverage cannot silently change when cost models
-    shift the tuner's winner).
+    shift the tuner's winner).  The cube is rescaled into ``[-1, 1]``.
     """
     from repro.gpukpm.pipeline import GpuKPM
+    from repro.kpm.rescale import rescale_operator
 
     hamiltonian = paper_cubic_hamiltonian(
         SANITIZE_WORKLOAD["lattice_side"], format="csr"
     )
+    scaled, _ = rescale_operator(hamiltonian)
     for storage in SANITIZE_WORKLOAD["tune_formats"]:
         width = (
             SANITIZE_WORKLOAD["tune_vector_width"]
@@ -154,7 +156,7 @@ def _run_tune() -> None:
             else None
         )
         kpm = GpuKPM(spmv_format=storage, vector_width=width)
-        kpm.compute_moments(hamiltonian, _dos_config())
+        kpm.compute_moments(scaled, _dos_config())
 
 
 _RUNNERS = {

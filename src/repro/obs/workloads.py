@@ -124,6 +124,7 @@ def sparse_crossover_run(
     import numpy as np
 
     from repro.gpukpm.pipeline import GpuKPM  # deferred: keep repro.obs import-light
+    from repro.kpm.rescale import rescale_operator
     from repro.lattice import cubic, tight_binding_hamiltonian
     from repro.tune.autotuner import Autotuner
 
@@ -155,8 +156,8 @@ def sparse_crossover_run(
             num_random_vectors=SPARSE_CROSSOVER_WORKLOAD["exec_num_random_vectors"],
             seed=SPARSE_CROSSOVER_WORKLOAD["seed"],
         )
-        exec_op = tight_binding_hamiltonian(
-            cubic(SPARSE_CROSSOVER_WORKLOAD["exec_side"])
+        exec_op, _ = rescale_operator(
+            tight_binding_hamiltonian(cubic(SPARSE_CROSSOVER_WORKLOAD["exec_side"]))
         )
         with tracer.span("workload.exec_dense", category="workload"):
             dense_kpm = GpuKPM(spmv_format="dense")

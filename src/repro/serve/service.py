@@ -74,6 +74,14 @@ _REQUEST_TYPES = (DoSRequest, LDoSRequest, GreenRequest)
 HOST_ENGINE = "host"
 
 
+def _rejected(request, batch: Batch, exc: ReproError) -> SpectralResponse:
+    """The ``rejected`` answer to a request-side error in ``batch``."""
+    return SpectralResponse.unserved(
+        request, outcome="rejected", reason=f"error: {exc}", source="service",
+        batch_id=batch.batch_id,
+    )
+
+
 @dataclass
 class OperatorFacts:
     """What the service has derived from one operator's content.
@@ -88,6 +96,9 @@ class OperatorFacts:
         ``(bounds_method, epsilon) -> (scaled operator, rescaling)``: the
         one :func:`~repro.kpm.rescale_operator` result that DoS, Green
         and every LDoS site of the operator share under those options.
+    sparse:
+        ``(bounds_method, epsilon) -> scaled operator`` in CSR or ELL
+        storage, the one copy a tuner profiles and re-stores for every key.
     scaled:
         ``moment_identity_key -> (scaled operator, rescaling)``.  The
         operator every compute, extension and price of that key runs
@@ -102,6 +113,7 @@ class OperatorFacts:
 
     validated: bool = False
     rescaled: dict = field(default_factory=dict)
+    sparse: dict = field(default_factory=dict)
     scaled: dict = field(default_factory=dict)
     prices: dict = field(default_factory=dict)
 
@@ -369,7 +381,7 @@ class SpectralService:
         cached prefix below the batch order is answered at once as tier
         0 and grown tier by tier.  A request-side error (any
         :class:`~repro.errors.ReproError` but a
-        :class:`~repro.errors.DeviceError`) answers each member
+        :class:`~repro.errors.DeviceError`) answers each member it hits
         ``rejected``; a device fault no engine can absorb propagates.
         """
         tracer = current_tracer()
@@ -424,8 +436,12 @@ class SpectralService:
                     )
                     if final:
                         break
+                    # A member rejected at reconstruction is final at once.
+                    streamed = [a for a in answers.values() if not a.final]
+                    if not streamed:
+                        break
                     if on_tier is not None:
-                        on_tier(list(answers.values()))
+                        on_tier(streamed)
                     # Clamped before ceil: a huge finite growth is the target.
                     next_order = max(order + 1, math.ceil(min(order * growth, target)))
                     entry, source, cost = self._grow(batch, next_order, forwarded)
@@ -435,13 +451,7 @@ class SpectralService:
                 if isinstance(exc, DeviceError):
                     raise
                 answers = {
-                    queued.seq: SpectralResponse.unserved(
-                        queued.request,
-                        outcome="rejected",
-                        reason=f"error: {exc}",
-                        source="service",
-                        batch_id=batch.batch_id,
-                    )
+                    queued.seq: _rejected(queued.request, batch, exc)
                     for queued in batch.entries
                 }
                 batch_span.set(cache="error", num_moments=target)
@@ -450,7 +460,9 @@ class SpectralService:
                     cache=mode, engine=entry.engine, num_moments=entry.num_moments
                 )
                 if refining:
-                    early_stop = entry.num_moments < target
+                    early_stop = entry.num_moments < target and any(
+                        a.outcome != "rejected" for a in answers.values()
+                    )
                     self._early_stops += early_stop
                     batch_span.set(tiers=tier, early_stop=early_stop)
             responses.update(answers)
@@ -467,13 +479,21 @@ class SpectralService:
         smaller of its own ``N`` and the entry's; members with equal
         reconstruction inputs share one (see :meth:`_reconstruction`).
         ``coalesced`` labels the members after the head ``"coalesced"``:
-        they rode along on the run the head triggered.
+        they rode along on the run the head triggered.  A member whose
+        reconstruction raises a request-side error is answered
+        ``rejected`` alone.
         """
         answers = {}
         for index, queued in enumerate(batch.entries):
             request = queued.request
             member = entry.prefix(min(request.config.num_moments, entry.num_moments))
-            energies, values = self._reconstruction(batch.key, request, member)
+            try:
+                energies, values = self._reconstruction(batch.key, request, member)
+            except DeviceError:
+                raise
+            except ReproError as exc:
+                answers[queued.seq] = _rejected(request, batch, exc)
+                continue
             answers[queued.seq] = SpectralResponse(
                 kind=request.kind,
                 tag=request.tag,
@@ -523,12 +543,14 @@ class SpectralService:
                 # LDoS host recursion then execute (and admission prices)
                 # that format for every request sharing the key.  A
                 # dense-stored operator is profiled and re-stored from
-                # one CSR copy.
-                sparse = (
-                    scaled
-                    if isinstance(scaled, (CSRMatrix, ELLMatrix))
-                    else as_format(scaled, "csr")
-                )
+                # the one CSR copy its keys share.
+                sparse = facts.sparse.get(bounds)
+                if sparse is None:
+                    sparse = facts.sparse[bounds] = (
+                        scaled
+                        if isinstance(scaled, (CSRMatrix, ELLMatrix))
+                        else as_format(scaled, "csr")
+                    )
                 choice = self.tuner.choose(sparse, config)
                 scaled = self.tuner.prepare_operator(
                     scaled if choice.format == "dense" else sparse, choice

@@ -26,7 +26,8 @@ for finite inputs — the property suite pins this.
 
 **Host cost.**  A CSR or ELL sweep is one call into a compiled row
 loop, scipy's ``csr_matvec`` (``csr_matvecs`` for a block of columns),
-the routine behind scipy's own ``csr_array @ x``.  Per row it starts from
+the routine behind scipy's own ``csr_array @ x``; a one-column block
+takes the vector loop, whose sums are the same.  Per row it starts from
 the output's ``+0.0`` (allocated with ``np.zeros``) and adds
 ``data[p] * x[indices[p]]`` over the stored entries left to right,
 which is the canonical order: the loop neither reorders the sum nor
@@ -157,8 +158,12 @@ def _row_loop(data, plan: SweepPlan, operand) -> np.ndarray:
             f"plan was built for {plan.n_cols} columns, got operand shape {operand.shape}"
         )
     rows, cols = plan.n_rows, plan.n_cols
-    if operand.ndim == 1:
-        out = np.zeros(rows, dtype=dtype)
+    if operand.ndim == 1 or operand.shape[1] == 1:
+        # A one-column panel runs the vector loop: the same sums, in the
+        # same order, for less call overhead than the block loop.  The
+        # loop reads and writes flat buffers, so a C-contiguous (n, 1)
+        # column serves as the vector.
+        out = np.zeros(rows if operand.ndim == 1 else (rows, 1), dtype=dtype)
         _sparsetools.csr_matvec(rows, cols, plan.indptr, plan.indices, data, operand, out)
         return out
     out = np.zeros((rows, operand.shape[1]), dtype=dtype)

@@ -23,6 +23,7 @@ from repro.analysis.kernelver import (
     render_certificate,
     verify_module,
 )
+from repro.analysis.kernelver.interp import MATRIX_FIELDS
 from repro.obs.sanitize_run import cross_check_certificate, sanitized_run
 
 REPO = Path(__file__).resolve().parents[2]
@@ -186,6 +187,25 @@ class TestLoopScope:
             ]
             assert len(stores) == 1, mode.name
             assert not any("#" in name for name in stores[0].domain.symbols())
+
+
+class TestStepCall:
+    def test_bound_product_handed_to_the_step_reads_the_matrix(self):
+        # The kernel hands matrix.matmat to the host step; each mode must
+        # still record a read of every storage buffer of the matrix.
+        tree = ast.parse(KERNELS_PY.read_text(encoding="utf-8"))
+        kernel_def = next(
+            k for k in find_kernel_defs(tree) if k.kernel_name == "kpm_recursion"
+        )
+        for mode in kernel_def.contract.modes:
+            result = interpret_mode(kernel_def.func, kernel_def.contract, mode, tree)
+            reads = {
+                access.field
+                for access in result.accesses
+                if access.param == "matrix" and access.kind == "read"
+            }
+            assert reads == set(MATRIX_FIELDS), mode.name
+            assert not result.problems, mode.name
 
 
 class TestCertificate:

@@ -2,8 +2,9 @@
 
 The determinism contract (Philox streams keyed by (seed, s, r)) means
 the NumPy reference, the CPU-model backend, the GPU simulator, and the
-multi-GPU cluster must agree on the moments to floating-point
-reduction-order tolerance — and therefore on every derived quantity.
+multi-GPU cluster compute the same per-vector rows with one recursion
+step and reduce them with one mean, so in double precision their
+moments are bit-identical — and therefore every derived quantity.
 """
 
 import numpy as np
@@ -44,8 +45,8 @@ class TestMomentParity:
     def test_all_backends_same_moments(self, results):
         reference = results["numpy"].moments.mu
         for backend in BACKENDS[1:]:
-            np.testing.assert_allclose(
-                results[backend].moments.mu, reference, atol=1e-12,
+            np.testing.assert_array_equal(
+                results[backend].moments.mu, reference,
                 err_msg=f"backend {backend} diverged",
             )
 
@@ -60,9 +61,7 @@ class TestMomentParity:
         )
         for devices in (2, 5):
             data, _ = MultiGpuKPM(devices).compute_moments(scaled, config)
-            np.testing.assert_allclose(
-                data.mu, results["numpy"].moments.mu, atol=1e-12
-            )
+            np.testing.assert_array_equal(data.mu, results["numpy"].moments.mu)
 
 
 class TestTimingReports:

@@ -11,8 +11,9 @@ into ``[-1, 1]`` (CSR with uniform or ragged rows, ELL, dense):
 * the cold run equals, byte for byte, a recursion written in this file:
   a plain loop plus the doubling identities of Weiße et al.
   (arXiv:cond-mat/0504627), with ``float(a @ b)`` for a 1-D start and
-  the column ``einsum`` for a ``(D, R)`` block.  That pins the per-rank
-  dot: the two can differ in the last bit.
+  the same contiguous 1-D dot of each column pair for a ``(D, R)``
+  block.  That pins the one per-vector dot: a column ``einsum`` or a
+  dot over strided columns can differ in the last bit.
 """
 
 import numpy as np
@@ -93,7 +94,16 @@ def reference_moments(op, start, num_moments, use_doubling):
     if start.ndim == 1:
         apply, dot = op.matvec, lambda a, b: float(a @ b)
     else:
-        apply, dot = op.matmat, lambda a, b: np.einsum("ij,ij->j", a, b)
+        apply = op.matmat
+
+        def dot(a, b):
+            return np.array(
+                [
+                    float(np.ascontiguousarray(a[:, j]) @ np.ascontiguousarray(b[:, j]))
+                    for j in range(a.shape[1])
+                ]
+            )
+
     mu = np.empty((num_moments, *start.shape[1:]))
     mu[0] = dot(start, start)
     if num_moments == 1:

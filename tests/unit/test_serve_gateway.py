@@ -260,6 +260,42 @@ class TestDegradation:
         assert response.outcome == "served"
         assert response.num_moments_served == 64
 
+    def test_degraded_member_error_rejects_only_that_member(self):
+        # A Green energy outside the rescaled interval fails its
+        # reconstruction from the cached prefix: that member is rejected,
+        # its DoS batch-mate is degraded, and the replay goes on.
+        gw = gateway()
+        self.warm(gw)
+        high = CONFIG.with_updates(num_moments=64)
+        gw.offer(DoSRequest(H, high, tenant="acme", deadline=gw.clock))
+        gw.offer(GreenRequest(H, energies=(100.0,), config=high, tenant="acme",
+                              deadline=gw.clock))
+        dos, green = gw.pump().values()
+        assert dos.outcome == "degraded"
+        assert green.outcome == "rejected"
+        assert green.reason.startswith("error: energies must lie strictly inside")
+        metrics = gw.gateway_metrics()
+        assert (metrics.degraded, metrics.rejected) == (1, 1)
+
+    def test_degraded_green_error_does_not_abort_the_replay(self):
+        arrivals = [
+            TimedArrival(at=0.0, request=DoSRequest(H, CONFIG)),
+            TimedArrival(
+                at=1.0,
+                request=GreenRequest(
+                    H,
+                    energies=(100.0,),
+                    config=CONFIG.with_updates(num_moments=256),
+                    deadline=1.0 + 1e-7,
+                ),
+            ),
+        ]
+        responses = gateway().run_trace(arrivals, flush_interval=0.5)
+        assert [(r.kind, r.outcome) for r in responses] == [
+            ("dos", "served"),
+            ("green", "rejected"),
+        ]
+
 
 class TestSchedulerKnob:
     def test_edf_default_fifo_optional(self):

@@ -162,6 +162,32 @@ class TestTunedDenseStorage:
         assert first.outcome == "served"
         self._assert_same_answer(second, reference)
 
+    def test_converts_dense_storage_once_per_operator(self, monkeypatch):
+        # One DoS and two LDoS identity keys share one CSR copy; each key
+        # keeps its own tuned storage.
+        calls = []
+        from_dense = CSRMatrix.from_dense.__func__
+
+        def counting(cls, dense, **kwargs):
+            calls.append(dense.shape)
+            return from_dense(cls, dense, **kwargs)
+
+        monkeypatch.setattr(CSRMatrix, "from_dense", classmethod(counting))
+        hamiltonian = paper_cubic_hamiltonian(4, format="dense")
+        service = SpectralService(("gpu-sim",), tuner=Autotuner())
+        requests = [
+            DoSRequest(hamiltonian, self.CONFIG),
+            LDoSRequest(hamiltonian, site=0, config=self.CONFIG),
+            LDoSRequest(hamiltonian, site=5, config=self.CONFIG),
+        ]
+        responses = service.serve(requests)
+        assert [r.outcome for r in responses] == ["served"] * 3
+        assert len(calls) == 1
+        facts = service.memo.facts(hamiltonian.fingerprint())
+        assert len(facts.scaled) == 3
+        for scaled, _ in facts.scaled.values():
+            assert isinstance(scaled, ELLMatrix)
+
     @pytest.mark.parametrize("storage, conversions", [("dense", 1), ("csr", 0)])
     def test_converts_dense_storage_once_per_key(
         self, monkeypatch, storage, conversions
@@ -291,6 +317,27 @@ class TestValidation:
             SpectralService().submit(
                 LDoSRequest(chain_csr, site=64, config=small_config)
             )
+
+    def test_reconstruction_error_rejects_only_that_member(self):
+        # A Green energy outside the rescaled interval coalesces with a
+        # valid DoS request of the same moments: only the Green member
+        # is rejected, and the DoS answer is the solo one.
+        hamiltonian = tight_binding_hamiltonian(chain(32))
+        config = KPMConfig(num_moments=32)
+        dos, green = SpectralService(("numpy",)).serve(
+            [
+                DoSRequest(hamiltonian, config=config),
+                GreenRequest(hamiltonian, energies=(100.0,), config=config),
+            ]
+        )
+        [solo] = SpectralService(("numpy",)).serve(
+            [DoSRequest(hamiltonian, config=config)]
+        )
+        assert dos.outcome == "served"
+        assert np.array_equal(dos.values, solo.values)
+        assert green.outcome == "rejected"
+        assert green.reason.startswith("error: energies must lie strictly inside")
+        assert green.source == "service"
 
     def test_batch_request_error_rejects_only_that_batch(self):
         # The 4-device cluster cannot split R=2 vectors: the middle batch
@@ -435,6 +482,30 @@ class TestPrefixServing:
 
 
 class TestRefinement:
+    def test_rejected_member_is_answered_once(self, chain_csr, small_config):
+        # An out-of-interval Green member is rejected; its DoS batch-mate
+        # streams its tiers, and the rejection is not streamed with them.
+        service = SpectralService(backends=("numpy",))
+        service.serve([DoSRequest(chain_csr, small_config.with_updates(num_moments=8))])
+        high = small_config.with_updates(num_moments=32)
+        tiers = []
+        dos, green = service.serve_refined(
+            [DoSRequest(chain_csr, high), GreenRequest(chain_csr, (100.0,), high)],
+            on_tier=tiers.append,
+        )
+        assert [[r.kind for r in tier] for tier in tiers] == [["dos"], ["dos"]]
+        assert (dos.outcome, dos.final, dos.num_moments_served) == ("served", True, 32)
+        assert (green.outcome, green.final) == ("rejected", True)
+
+    def test_wholly_rejected_batch_is_not_refined(self, chain_csr, small_config):
+        service = SpectralService(backends=("numpy",))
+        service.serve([DoSRequest(chain_csr, small_config.with_updates(num_moments=8))])
+        high = small_config.with_updates(num_moments=256)
+        [green] = service.serve_refined([GreenRequest(chain_csr, (100.0,), high)])
+        assert (green.outcome, green.tier) == ("rejected", 0)
+        metrics = service.metrics()
+        assert (metrics.refined_tiers, metrics.early_stops) == (0, 0)
+
     def test_flush_refined_streams_tiers(self, chain_csr, small_config):
         service = SpectralService(backends=("gpu-sim",))
         low = small_config.with_updates(num_moments=8)

@@ -130,3 +130,37 @@ class TestRowPointer:
         assert not plan.indptr.flags.writeable
         assert not plan.indices.flags.writeable
         assert plan.nnz == 3 and plan.n_rows == 2 and plan.n_cols == 3
+
+
+class TestOneColumnPanel:
+    """A ``(D, 1)`` panel runs the vector loop, with the vector sweep's bits."""
+
+    @staticmethod
+    def _matrix():
+        rng = np.random.default_rng(11)
+        fill = rng.random((1000, 1000)) < 0.01
+        dense = np.where(fill, rng.standard_normal((1000, 1000)), 0.0)
+        return CSRMatrix.from_dense(dense), rng.standard_normal(1000)
+
+    def test_one_column_equals_the_vector_sweep(self):
+        csr, x = self._matrix()
+        panel = csr_sweep_matmat(csr.data, csr.sweep_plan, x[:, None])
+        assert panel.shape == (1000, 1)
+        vector = csr_sweep_matvec(csr.data, csr.sweep_plan, x)
+        assert panel[:, 0].tobytes() == vector.tobytes()
+        # The F-ordered one-row transpose a recursion hands over, too.
+        rows = np.ascontiguousarray(x[None, :])
+        transposed = csr_sweep_matmat(csr.data, csr.sweep_plan, rows.T)
+        assert transposed.tobytes() == panel.tobytes()
+
+    def test_one_column_skips_the_block_loop(self, monkeypatch):
+        from scipy.sparse import _sparsetools
+
+        def refuse(*args):
+            raise AssertionError("a one-column panel ran the block loop")
+
+        csr, x = self._matrix()
+        monkeypatch.setattr(_sparsetools, "csr_matvecs", refuse)
+        csr_sweep_matmat(csr.data, csr.sweep_plan, x[:, None])
+        with pytest.raises(AssertionError, match="block loop"):
+            csr_sweep_matmat(csr.data, csr.sweep_plan, np.stack([x, x], axis=1))
