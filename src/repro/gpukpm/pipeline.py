@@ -11,7 +11,8 @@ Host-side sequence, mirroring the CUDA original:
 :meth:`GpuKPM.run_partition` issues every recursion launch from one
 loop over chunks of vectors.  A plain, capturing or resuming run is one
 chunk followed by steps 4-5; checkpoint mode downloads each chunk as it
-finishes and reduces on the host instead.
+finishes and leaves the reduction to its caller.  A capture or resume
+moves the ``(R*S, 2, D)`` pair of a :class:`~repro.kpm.moments.RecursionState`.
 
 The modeled time comes from the device profiler; tests pin it against
 :func:`repro.gpukpm.estimate_gpu_kpm_seconds` (same launch schedule,
@@ -37,42 +38,20 @@ from repro.gpukpm.stats import (
     reduce_launch_stats,
 )
 from repro.kpm.config import KPMConfig
-from repro.kpm.moments import MomentData, _check_extension, _run_key
-from repro.kpm.moments import reduce_moment_table, vector_mean
+from repro.kpm.moments import MomentData, RecursionState, _check_resume, _run_key
+from repro.kpm.moments import reduce_moment_table
 from repro.trace.tracer import current_tracer
 from repro.sparse import CSRMatrix, ELLMatrix, as_format, as_operator
 from repro.timing import TimingReport, WallTimer
 from repro.util.validation import check_positive_int
 
-__all__ = ["CheckpointChunk", "GpuMomentState", "GpuKPM"]
+__all__ = ["CheckpointChunk", "GpuKPM"]
 
 
-@dataclass(frozen=True)
-class GpuMomentState:
-    """Host-side recursion checkpoint of a GPU moment run.
-
-    Holds the last two Chebyshev vectors ``(r_{N-2}, r_{N-1})`` of every
-    random vector, downloaded after the recursion launch (the download
-    is charged to the device — checkpointing is not free).  Feeding it
-    back through :meth:`GpuKPM.extend_moments` resumes the recursion at
-    order ``num_moments`` without replaying, bit-identical to a cold run
-    at the higher order.
-
-    Attributes
-    ----------
-    run_key:
-        The config fields besides ``N`` that decide the moment values
-        (R, S, vector kind, seed, doubling, precision); an extension
-        must match them.
-    num_moments:
-        Truncation order the state was captured at.
-    data:
-        ``(R * S, 2, D)`` array in the device dtype.
-    """
-
-    run_key: tuple
-    num_moments: int
-    data: np.ndarray
+def _run_key_of(config: KPMConfig) -> tuple:
+    """A device run's key: the plain recursion (``use_doubling`` is ignored)."""
+    dtype = np.float64 if config.precision == "double" else np.float32
+    return _run_key(config, doubled=False, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -311,8 +290,8 @@ class GpuKPM:
     # ResumableMomentEngine protocol
     def compute_moments_resumable(
         self, scaled_operator, config: KPMConfig
-    ) -> tuple[MomentData, TimingReport, GpuMomentState | None]:
-        """Like :meth:`compute_moments`, also capturing a recursion state.
+    ) -> tuple[MomentData, TimingReport, RecursionState | None]:
+        """Like :meth:`compute_moments`, also capturing the recursion state.
 
         The state download is honestly charged to the device, so a
         resumable run costs slightly more than a plain one — the price
@@ -328,44 +307,41 @@ class GpuKPM:
         data, report = self._run_moments(scaled_operator, config, state_sink=sink)
         state = None
         if captured:
-            state = GpuMomentState(
-                run_key=_run_key(config),
-                num_moments=config.num_moments,
-                data=captured[0],
-            )
+            state = RecursionState(_run_key_of(config), config.num_moments, captured[0])
         return data, report, state
 
     def extend_moments(
         self, scaled_operator, config: KPMConfig, data: MomentData, state
-    ) -> tuple[MomentData, TimingReport, GpuMomentState]:
+    ) -> tuple[MomentData, TimingReport, RecursionState]:
         """Resume the recursion from ``state`` up to ``config.num_moments``.
 
-        The new moment columns come out of the same kernel expressions a
-        cold run would execute, so the extended :class:`MomentData` is
+        ``state`` may come from any engine that ran the plain recursion
+        in the device dtype, a double-precision host trace too.  The new
+        moment columns come out of the same kernel expressions a cold
+        run would execute, so the extended :class:`MomentData` is
         bit-identical to :meth:`compute_moments` at the higher order.
         ``config`` must match the captured run in every field that
         decides moment values, else :class:`ValidationError` names the
-        first that differs.
+        first that differs.  A state below order 2 (no pair) runs cold.
         """
         if not isinstance(config, KPMConfig):
             raise ValidationError(
                 f"config must be a KPMConfig, got {type(config).__name__}"
             )
-        if not isinstance(state, GpuMomentState):
-            raise ValidationError(
-                f"state must be a GpuMomentState, got {type(state).__name__}"
-            )
-        _check_extension(state.run_key, state.num_moments, data, config)
+        shape = (config.total_vectors, 2, as_operator(scaled_operator).shape[0])
+        _check_resume(state, _run_key_of(config), shape, config.num_moments, data)
+        if state.pair is None:
+            return self.compute_moments_resumable(scaled_operator, config)
         captured: list[np.ndarray] = []
         new, report = self._run_moments(
             scaled_operator,
             config,
             start_moment=state.num_moments,
-            resume_state=state.data,
+            resume_state=state.pair,
             state_sink=captured.append,
         )
         extended = data.followed_by(new)
-        new_state = replace(state, num_moments=config.num_moments, data=captured[0])
+        new_state = RecursionState(state.run_key, config.num_moments, captured[0])
         return extended, report, new_state
 
     def estimate_modeled_seconds(self, scaled_operator, config: KPMConfig) -> float:
@@ -412,11 +388,11 @@ class GpuKPM:
             When set, split the recursion into launches of at most this
             many vectors and download each chunk's rows as soon as it
             finishes (checkpoint mode).  Each chunk costs an extra
-            download, honestly charged to the device; the partition mean
-            is then reduced on the host (the cluster driver re-reduces
-            globally anyway).  Per-vector moment rows are bit-identical
-            to the single-launch path because every row depends only on
-            its own global random stream.
+            download, honestly charged to the device; no partition mean
+            is taken (the cluster driver reduces the rows globally).
+            Per-vector moment rows are bit-identical to the
+            single-launch path because every row depends only on its own
+            global random stream.
         on_chunk:
             Hook invoked with a :class:`CheckpointChunk` after each chunk
             (implies checkpoint mode with one chunk if
@@ -428,8 +404,9 @@ class GpuKPM:
             Resume mode: skip orders below ``start_moment`` (>= 2) by
             seeding the recursion from ``resume_state`` — a host
             ``(num_vectors, 2, D)`` array of checkpointed
-            ``(r_{start-2}, r_{start-1})`` pairs (uploaded over PCIe,
-            honestly charged).  The returned table then has
+            ``(r_{start-2}, r_{start-1})`` pairs in the device dtype
+            (uploaded over PCIe, honestly charged; another dtype is
+            refused, not cast).  The returned table then has
             ``num_moments - start_moment`` columns — only the new
             orders — bit-identical to the corresponding columns of a
             cold run at ``num_moments``.
@@ -444,10 +421,10 @@ class GpuKPM:
         -------
         (mu_tilde, mu, device):
             The raw per-vector moment table ``(num_vectors, N)``, the
-            reduced mean over this partition ``(N,)`` (both
-            *unnormalized* by ``D``), and the device with its profiler.
-            Every device buffer the run allocated is freed, also when it
-            raises.
+            device-reduced mean over this partition ``(N,)`` (both
+            *unnormalized* by ``D``; the mean is ``None`` in checkpoint
+            mode), and the device with its profiler.  Every device
+            buffer the run allocated is freed, also when it raises.
         """
         if not isinstance(config, KPMConfig):
             raise ValidationError(
@@ -481,10 +458,10 @@ class GpuKPM:
                     f"start_moment={start_moment}, num_moments={num_moments}"
                 )
             expected = (num_vectors, 2, dim)
-            if tuple(resume_state.shape) != expected:
+            if tuple(resume_state.shape) != expected or resume_state.dtype != dtype:
                 raise ValidationError(
-                    f"resume_state must have shape {expected}, got "
-                    f"{tuple(resume_state.shape)}"
+                    f"resume_state must be a {np.dtype(dtype).name} array of shape "
+                    f"{expected}, got {resume_state.dtype} {tuple(resume_state.shape)}"
                 )
         elif start_moment:
             raise ValidationError("start_moment > 0 requires resume_state")
@@ -534,9 +511,7 @@ class GpuKPM:
                         d_state_in = device.alloc(
                             (num_vectors, 2, dim), dtype=dtype, name="state.in"
                         )
-                        device.memcpy_htod(
-                            d_state_in, np.asarray(resume_state, dtype=dtype)
-                        )
+                        device.memcpy_htod(d_state_in, resume_state)
                     if state_sink is not None:
                         d_state_out = device.alloc(
                             (num_vectors, 2, dim), dtype=dtype, name="state.out"
@@ -606,9 +581,8 @@ class GpuKPM:
                                 )
                             )
 
-                if checkpointing:
-                    host_mu = vector_mean(host_mu_tilde)
-                else:
+                host_mu = None
+                if not checkpointing:
                     # --- part (b): reduction --------------------------------
                     mu_out = device.alloc(width, dtype=dtype, name="mu")
                     reduce_stats = reduce_launch_stats(
@@ -638,6 +612,7 @@ class GpuKPM:
                             device.memcpy_dtoh(host_state, d_state_out)
                     mu_out.free()
                     mu_tilde.free()
+                    host_mu = host_mu.astype(np.float64)
                 if d_state_out is not None:
                     d_state_out.free()
                 if d_state_in is not None:
@@ -653,4 +628,4 @@ class GpuKPM:
                     array.free()
         if state_sink is not None:
             state_sink(host_state)
-        return host_mu_tilde.astype(np.float64), host_mu.astype(np.float64), device
+        return host_mu_tilde.astype(np.float64), host_mu, device

@@ -29,6 +29,7 @@ from repro.errors import ValidationError
 from repro.kpm.config import KPMConfig
 from repro.kpm.moments import (
     MomentData,
+    RecursionState,
     extend_stochastic_moments,
     stochastic_moments,
     stochastic_moments_resumable,
@@ -61,24 +62,24 @@ class ResumableMomentEngine(Protocol):
     """Backend that can checkpoint and extend the Chebyshev recursion.
 
     ``compute_moments_resumable`` behaves like ``compute_moments`` but
-    additionally returns an opaque recursion *state*;
-    ``extend_moments`` resumes from that state to a higher truncation
-    order, returning the full extended :class:`MomentData` (whose
-    columns are bit-identical to a cold run at the higher order on the
-    same backend) plus the advanced state.  The serving layer feature-
-    detects this protocol to extend cached moments in place instead of
-    recomputing from ``mu_0``.
+    additionally returns a :class:`~repro.kpm.moments.RecursionState`;
+    ``extend_moments`` resumes from a state (of any engine that ran the
+    same recursion in the same dtype) to a higher truncation order,
+    returning the full extended :class:`MomentData` (bit-identical to a
+    cold run at the higher order) plus the advanced state.  The serving
+    layer feature-detects this protocol to extend cached moments in
+    place instead of recomputing from ``mu_0``.
     """
 
     name: str
 
     def compute_moments_resumable(
         self, scaled_operator, config: KPMConfig
-    ) -> tuple[MomentData, TimingReport, object]: ...
+    ) -> tuple[MomentData, TimingReport, RecursionState | None]: ...
 
     def extend_moments(
         self, scaled_operator, config: KPMConfig, data: MomentData, state
-    ) -> tuple[MomentData, TimingReport, object]: ...
+    ) -> tuple[MomentData, TimingReport, RecursionState]: ...
 
 
 class NumpyEngine:
@@ -86,7 +87,7 @@ class NumpyEngine:
 
     Runs :func:`repro.kpm.stochastic_moments` directly; the timing report
     carries only the measured wall clock.  Implements
-    :class:`ResumableMomentEngine` via the checkpointed host recursion.
+    :class:`ResumableMomentEngine` via the host trace (float64 always).
     """
 
     name = "numpy"
@@ -101,7 +102,7 @@ class NumpyEngine:
 
     def compute_moments_resumable(
         self, scaled_operator, config: KPMConfig
-    ) -> tuple[MomentData, TimingReport, object]:
+    ) -> tuple[MomentData, TimingReport, RecursionState]:
         with WallTimer() as timer:
             data, state = stochastic_moments_resumable(scaled_operator, config)
         report = TimingReport(backend=self.name, wall_seconds=timer.seconds)
@@ -109,7 +110,7 @@ class NumpyEngine:
 
     def extend_moments(
         self, scaled_operator, config: KPMConfig, data: MomentData, state
-    ) -> tuple[MomentData, TimingReport, object]:
+    ) -> tuple[MomentData, TimingReport, RecursionState]:
         with WallTimer() as timer:
             extended, advanced = extend_stochastic_moments(
                 scaled_operator, config, data, state

@@ -17,10 +17,10 @@ substrate:
   accumulated table grows and all previous work is reused.  The result
   is bit-identical to a one-shot run with the final vector count.
 * ``add_moments`` raises the truncation order by *resuming* the
-  three-term recursion from per-group checkpoints
-  (:class:`~repro.kpm.moments.RecursionCheckpoint`) instead of
-  replaying it from ``mu_0`` — the marginal cost is one matvec per new
-  order per vector, reported honestly via ``matvecs_performed``.  The
+  recursion from one :class:`~repro.kpm.moments.RecursionState` per
+  group instead of replaying it from ``mu_0`` — the marginal cost is
+  one matvec per new order per vector, reported honestly via
+  ``matvecs_performed``.  The
   extension is exception-safe: every group's segment is computed before
   any state is committed, so a failing operator leaves the object
   exactly as it was.
@@ -108,9 +108,9 @@ class SpectralDensity:
         self.seed = seed
         #: Raw per-vector moments ``<r|T_n|r>``, shape (vectors, N).
         self._table = np.empty((0, self.num_moments), dtype=np.float64)
-        #: One recursion checkpoint per ``add_vectors`` group, in call
+        #: One recursion state per ``add_vectors`` group, in call
         #: order; ``add_moments`` resumes each instead of replaying.
-        self._checkpoints: list = []
+        self._states: list = []
         #: Total matrix-vector products executed so far (cost meter).
         self.matvecs_performed = 0
 
@@ -129,42 +129,42 @@ class SpectralDensity:
             realization=0,
             first_vector=first,
         )
-        raw, checkpoint = moments_resumable(self.scaled, block, num_moments)
+        raw, state = moments_resumable(self.scaled, block, num_moments)
         self.matvecs_performed += max(num_moments - 1, 0) * count
-        return raw.T, checkpoint
+        return raw.T, state
 
     # ------------------------------------------------------------------
     def add_vectors(self, count: int) -> "SpectralDensity":
         """Accumulate ``count`` new random vectors (previous work reused)."""
         count = check_positive_int(count, "count")
-        new_rows, checkpoint = self._compute_vectors(
+        new_rows, state = self._compute_vectors(
             self.num_vectors, count, self.num_moments
         )
         self._table = np.vstack([self._table, new_rows])
-        self._checkpoints.append(checkpoint)
+        self._states.append(state)
         return self
 
     def add_moments(self, extra: int) -> "SpectralDensity":
         """Raise the truncation order by ``extra`` (resumes, never replays).
 
-        Each ``add_vectors`` group left a recursion checkpoint holding
-        its last two Chebyshev vectors; extending costs one matvec per
-        new order per vector instead of a full replay, and the new
-        columns are bit-identical to what a fresh run at the higher
-        order would have produced.
+        Each ``add_vectors`` group left a recursion state holding its
+        last two Chebyshev vectors; extending costs one matvec per new
+        order per vector instead of a full replay, and the new columns
+        are bit-identical to what a fresh run at the higher order would
+        have produced.
 
         Exception-safe: all segments are computed *before* any state is
         committed, so a failure (e.g. an operator raising mid-matvec)
-        leaves ``num_moments``, the table, the checkpoints, and the
-        matvec counter untouched.
+        leaves ``num_moments``, the table, the states, and the matvec
+        counter untouched.
         """
         extra = check_positive_int(extra, "extra")
         target = self.num_moments + extra
         # Phase 1: compute every group's extension (no mutation yet).
         segments = []
         advanced = []
-        for checkpoint in self._checkpoints:
-            segment, state = extend_recursion(self.scaled, checkpoint, target)
+        for state in self._states:
+            segment, state = extend_recursion(self.scaled, state, target)
             segments.append(segment.T)  # (count, extra)
             advanced.append(state)
         # Phase 2: commit.
@@ -172,7 +172,7 @@ class SpectralDensity:
             self._table = np.hstack([self._table, np.vstack(segments)])
         else:
             self._table = np.empty((0, target), dtype=np.float64)
-        self._checkpoints = advanced
+        self._states = advanced
         self.matvecs_performed += extra * self.num_vectors
         self.num_moments = target
         return self

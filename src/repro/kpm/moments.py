@@ -25,14 +25,14 @@ Moments returned by the *low-level* routines are raw ``<r|T_n(H~)|r>``
 values; :func:`stochastic_moments` and :func:`exact_moments` normalize by
 the dimension ``D`` so that ``mu_0 ~= 1``.
 
-**Two entry points, one loop.**  :func:`extend_recursion` continues the
-loop from any :class:`RecursionCheckpoint`, and a cold
-:func:`moments_resumable` run *is* an extension from an empty one.
-``mu_n`` depends only on ``r_0 .. r_n`` — never on the truncation order
-— so extending a checkpoint taken at ``N`` up to ``M`` yields orders
-``[N, M)`` bit-identical to a cold run at ``M`` without replaying
-orders ``0 .. N-1``.  The serve layer's prefix-closed moment cache is
-built on exactly this contract.
+**One state, one loop.**  Every engine resumes from one
+:class:`RecursionState` (the device's per-vector ``(V, 2, D)`` layout),
+and a cold run *is* an extension from an empty one.  ``mu_n`` depends
+only on ``r_0 .. r_n`` — never on the truncation order — so extending
+a state taken at ``N`` up to ``M`` yields orders ``[N, M)``
+bit-identical to a cold run at ``M`` without replaying orders
+``0 .. N-1``.  The serve layer's prefix-closed moment cache is built on
+exactly this contract.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from repro.util.validation import check_positive_int
 
 __all__ = [
     "MomentData",
-    "RecursionCheckpoint",
-    "TraceCheckpoint",
+    "RecursionState",
     "chebyshev_rows",
     "vector_mean",
     "reduce_moment_table",
@@ -262,18 +261,13 @@ def chebyshev_rows(
     return moments, prev, cur, mu1
 
 
-def _shaped(moments: np.ndarray, vector: bool) -> np.ndarray:
-    """Step rows ``(B, n)`` as the public ``(n,)`` or ``(n, B)`` result."""
-    return moments[0] if vector else np.ascontiguousarray(moments.T)
-
-
 def moments_single_vector(
     operator, start_vector, num_moments: int, *, use_doubling: bool = False
 ) -> np.ndarray:
     """Raw moments ``<r|T_n(H~)|r>`` for one start vector, shape ``(N,)``.
 
     :func:`moments_resumable` for a length-``D`` vector, without the
-    checkpoint.
+    state.
     """
     if np.ndim(start_vector) != 1:
         raise ShapeError(f"start_vector must be 1-D, got shape {np.shape(start_vector)}")
@@ -298,58 +292,154 @@ def moments_block(
     )[0]
 
 
-@dataclass
-class RecursionCheckpoint:
-    """Resumable tail state of one block's three-term recursion.
+@dataclass(frozen=True)
+class RecursionState:
+    """Where a Chebyshev recursion stopped: the one state of every engine.
 
-    ``rows`` holds the start vectors as ``(B, D)`` rows (one row for a
-    1-D start, flagged by ``vector``), and ``num_moments`` the orders
-    produced so far.  ``prev``/``cur``/``mu1`` are what
-    :func:`chebyshev_rows` resumes from: ``r_{N-2}``/``r_{N-1}`` as
-    ``(D, B)`` panels, or ``a_{k-1}``/``a_k`` with ``k = N // 2`` and the
-    order-1 moments under doubling; ``None`` before the recursion starts.
+    The host recursions, :class:`~repro.kpm.incremental.SpectralDensity`,
+    ``GpuKPM`` and the serve cache produce and accept this type; hand it
+    back unchanged to resume at ``num_moments`` without replaying.  A
+    trace state resumes on any resumable engine that runs its key.
+
+    Attributes
+    ----------
+    run_key:
+        ``(field, value)`` pairs a resume must match: for a trace, the
+        config fields besides ``N`` that decide the moments; then the
+        recursion run (``"plain"`` or ``"doubled"``) and the pair's dtype.
+    num_moments:
+        ``N``, the orders produced so far.
+    pair:
+        ``(V, 2, D)``: per vector, in global order, ``(r_{N-2},
+        r_{N-1})``, or under doubling ``(a_{k-1}, a_k)`` with
+        ``k = N // 2``; ``None`` while ``N < 2``.
+    mu1:
+        ``(V,)`` order-1 raw moments under doubling, else ``None``.
+    rows:
+        Explicit start vectors, as ``(V, D)`` rows or the ``(D,)``
+        vector of a 1-D start; ``None`` for Philox starts, which a
+        resume regenerates from the run key.
     """
 
-    rows: np.ndarray
-    vector: bool
-    use_doubling: bool
-    num_moments: int = 0
-    prev: np.ndarray | None = None
-    cur: np.ndarray | None = None
+    run_key: tuple
+    num_moments: int
+    pair: np.ndarray | None
     mu1: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     @property
-    def k(self) -> int:
-        """Chebyshev index of ``cur`` (0 before the recursion starts)."""
-        if self.cur is None:
-            return 0
-        return self.num_moments // 2 if self.use_doubling else self.num_moments - 1
+    def doubled(self) -> bool:
+        """Whether the run is the doubled recursion."""
+        return ("recursion", "doubled") in self.run_key
 
 
-def _advance(op, checkpoint: RecursionCheckpoint, num_moments: int):
-    """Rows of orders ``[checkpoint.num_moments, num_moments)``; new checkpoint."""
+def _run_key(config: KPMConfig | None, *, doubled: bool, dtype=np.float64) -> tuple:
+    """What a resume must match: everything besides ``N`` that decides the moments.
+
+    A trace's config fields (none for explicit start rows), then the
+    recursion run and the pair's dtype: the host runs ``use_doubling``
+    in float64, ``gpu-sim`` the plain recursion in the config's precision.
+    """
+    fields = () if config is None else (
+        ("num_random_vectors", config.num_random_vectors),
+        ("num_realizations", config.num_realizations),
+        ("vector_kind", config.vector_kind),
+        ("seed", normalize_seed(config.seed)),
+        ("use_doubling", config.use_doubling),
+        ("precision", config.precision),
+    )
+    recursion = "doubled" if doubled else "plain"
+    return fields + (("recursion", recursion), ("dtype", np.dtype(dtype)))
+
+
+def _check_resume(state, run_key: tuple, shape: tuple, num_moments: int, data=None):
+    """Raise unless ``state`` resumes a run keyed ``run_key`` up to ``num_moments``.
+
+    Shared by every resume, host and GPU.  Every ``run_key`` field must
+    match the state's (:class:`ValidationError` names the first that
+    differs), a pair must have the ``(V, 2, D)`` ``shape`` the run reads
+    (:class:`ShapeError`), a trace's ``data`` must hold the state's
+    orders, and the target must exceed them.
+    """
+    if not isinstance(state, RecursionState):
+        raise ValidationError(f"state must be a RecursionState, got {type(state).__name__}")
+    recorded = dict(state.run_key)
+    for field, now in run_key:
+        if recorded.get(field) != now:
+            raise ValidationError(
+                f"cannot extend: this run has {field}={now!r} but the state "
+                f"was taken with {field}={recorded.get(field)!r}"
+            )
+    if state.pair is not None and state.pair.shape != shape:
+        raise ShapeError(f"state pair has shape {state.pair.shape}; this run resumes {shape}")
+    if data is not None and data.dimension != shape[2]:
+        raise ShapeError(f"data has dimension {data.dimension}; this run resumes {shape}")
+    if data is not None and data.num_moments != state.num_moments:
+        raise ValidationError(
+            f"data carries {data.num_moments} moments but the state "
+            f"stopped at {state.num_moments}; they must match"
+        )
+    if num_moments <= state.num_moments:
+        raise ValidationError(
+            f"extension target {num_moments} must exceed the state's "
+            f"{state.num_moments} moments"
+        )
+
+
+def _fresh(run_key: tuple, count: int, dim: int, num_moments: int, rows=None):
+    """The state at ``num_moments`` of ``count`` vectors, its pair yet to be written."""
+    held = num_moments >= 2  # a pair from order 2 on, mu1 only under doubling
+    pair = np.empty((count, 2, dim), dtype=np.float64) if held else None
+    doubled = held and ("recursion", "doubled") in run_key
+    mu1 = np.empty(count, dtype=np.float64) if doubled else None
+    return RecursionState(run_key, num_moments, pair, mu1, rows)
+
+
+def _advance(op, rows, state, advanced, vectors=slice(None)) -> np.ndarray:
+    """Raw moment rows of ``rows`` from ``state`` up to ``advanced.num_moments``.
+
+    ``rows`` are the start vectors ``vectors`` of both states.  The step
+    resumes from their pair as ``(D, B)`` views, as the device kernel
+    hands it its pair, and writes their advanced pair (and ``mu1`` under
+    doubling) into ``advanced`` when it holds one.
+    """
+    prev = cur = None
+    if state.pair is not None:
+        prev, cur = state.pair[vectors, 0].T, state.pair[vectors, 1].T
+    mu1 = None if state.mu1 is None else state.mu1[vectors]
     moments, prev, cur, mu1 = chebyshev_rows(
-        op.matmat, checkpoint.rows, checkpoint.num_moments, num_moments,
-        checkpoint.prev, checkpoint.cur, mu1=checkpoint.mu1,
-        doubling=checkpoint.use_doubling,
+        op.matmat, rows, state.num_moments, advanced.num_moments, prev, cur,
+        mu1=mu1, doubling=advanced.doubled,
     )
-    return moments, RecursionCheckpoint(
-        checkpoint.rows, checkpoint.vector, checkpoint.use_doubling,
-        num_moments, prev, cur, mu1,
-    )
+    if advanced.pair is not None:
+        advanced.pair[vectors, 0] = prev.T
+        advanced.pair[vectors, 1] = cur.T
+    if advanced.mu1 is not None:
+        advanced.mu1[vectors] = mu1
+    return moments
+
+
+def _resume_rows(op, state: RecursionState, num_moments: int):
+    """``state``'s start rows advanced to ``num_moments``: moments, new state."""
+    vector = state.rows.ndim == 1
+    rows = state.rows[None, :] if vector else state.rows
+    advanced = _fresh(state.run_key, *rows.shape, num_moments, state.rows)
+    moments = _advance(op, rows, state, advanced)
+    return (moments[0] if vector else np.ascontiguousarray(moments.T)), advanced
 
 
 def moments_resumable(
     operator, start, num_moments: int, *, use_doubling: bool = False
-) -> tuple[np.ndarray, RecursionCheckpoint]:
-    """Raw moments ``<r|T_n(H~)|r>`` plus a checkpoint to extend them from.
+) -> tuple[np.ndarray, RecursionState]:
+    """Raw moments ``<r|T_n(H~)|r>`` plus the state to extend them from.
 
     ``operator`` is the *rescaled* ``H~`` (spectrum inside ``[-1, 1]``),
     ``start`` one vector ``|r>`` of length ``D`` or a ``(D, R)`` block of
     them.  ``use_doubling`` uses ``mu_{2k} = 2<r_k|r_k> - mu_0`` and
     ``mu_{2k+1} = 2<r_{k+1}|r_k> - mu_1`` to halve the matvec count.
     Returns the ``N`` moments, shaped ``(N,)`` or ``(N, R)``, and the
-    :class:`RecursionCheckpoint` :func:`extend_recursion` continues from.
+    :class:`RecursionState` (start rows included) that
+    :func:`extend_recursion` continues from.
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
@@ -359,136 +449,60 @@ def moments_resumable(
         raise ShapeError(
             f"start must have shape ({dim},) or ({dim}, R), got {start.shape}"
         )
-    vector = start.ndim == 1
-    rows = np.ascontiguousarray(start[None, :] if vector else start.T)
-    empty = RecursionCheckpoint(rows, vector, bool(use_doubling))
-    moments, checkpoint = _advance(op, empty, num_moments)
-    return _shaped(moments, vector), checkpoint
+    # A copy: the state must not follow later writes to the caller's start.
+    rows = np.array(start if start.ndim == 1 else start.T, order="C")
+    empty = RecursionState(_run_key(None, doubled=use_doubling), 0, None, rows=rows)
+    return _resume_rows(op, empty, num_moments)
 
 
 def extend_recursion(
-    operator, checkpoint: RecursionCheckpoint, num_moments: int
-) -> tuple[np.ndarray, RecursionCheckpoint]:
-    """Continue a recursion from ``checkpoint`` up to ``num_moments`` orders.
+    operator, state: RecursionState, num_moments: int
+) -> tuple[np.ndarray, RecursionState]:
+    """Continue a recursion from ``state`` up to ``num_moments`` orders.
 
-    Returns the *new segment* — raw moments of orders
-    ``[checkpoint.num_moments, num_moments)``, one row per order — and
-    the advanced checkpoint.  The step is the cold run's, so
+    ``state`` must carry its start rows, as :func:`moments_resumable`'s
+    does.  Returns the *new segment* — raw moments of orders
+    ``[state.num_moments, num_moments)``, one row per order — and the
+    advanced state.  The step is the cold run's, so
     ``concat(old, segment)`` is bit-identical to a cold
     :func:`moments_resumable` run at ``num_moments``.
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    if not isinstance(checkpoint, RecursionCheckpoint):
+    if getattr(state, "rows", None) is None:
         raise ValidationError(
-            f"checkpoint must be a RecursionCheckpoint, got {type(checkpoint).__name__}"
+            "state must be a RecursionState with start rows (a trace state "
+            "resumes through extend_stochastic_moments or an engine)"
         )
-    if checkpoint.rows.shape[1] != op.shape[0]:
-        raise ShapeError(
-            f"checkpoint dimension {checkpoint.rows.shape[1]} does not match "
-            f"operator dimension {op.shape[0]}"
-        )
-    base = checkpoint.num_moments
-    if num_moments <= base:
-        raise ValidationError(
-            f"extension target {num_moments} must exceed the checkpoint's "
-            f"{base} moments"
-        )
-    segment, advanced = _advance(op, checkpoint, num_moments)
-    return _shaped(segment, checkpoint.vector), advanced
+    shape = (1 if state.rows.ndim == 1 else len(state.rows), 2, op.shape[0])
+    _check_resume(state, _run_key(None, doubled=state.doubled), shape, num_moments)
+    return _resume_rows(op, state, num_moments)
 
 
-def _run_key(config: KPMConfig) -> tuple:
-    """The config fields besides ``N`` that decide a run's moment values.
+def _trace(op, config: KPMConfig, state: RecursionState, *, keep: bool = True):
+    """Advance every realization's block from ``state`` to ``config.num_moments``.
 
-    Recorded in every trace checkpoint (host and GPU); an extension must
-    present the same values, so it continues the run that was started.
+    A cold run starts from ``RecursionState((), 0, None)``.  Each block's
+    start rows are regenerated from the config's Philox streams, as the
+    device kernel does.  Returns the data of orders
+    ``[state.num_moments, N)``, their ``(R*S, N - base)`` table of raw
+    per-vector moments, and the advanced state, whose pair is kept only
+    when ``keep`` (so a plain run holds one block's vectors at a time).
     """
-    return (
-        ("num_random_vectors", config.num_random_vectors),
-        ("num_realizations", config.num_realizations),
-        ("vector_kind", config.vector_kind),
-        ("seed", normalize_seed(config.seed)),
-        ("use_doubling", config.use_doubling),
-        ("precision", config.precision),
-    )
-
-
-def _check_extension(
-    run_key: tuple, base: int, data: MomentData, config: KPMConfig
-) -> None:
-    """Raise :class:`ValidationError` unless ``config`` extends the run.
-
-    Shared by the host and GPU extension paths.  Every ``run_key`` field
-    must match (the first that differs is named), ``data`` must hold the
-    ``base`` orders the checkpoint stopped at, and the target must grow.
-    """
-    for (field, was), (_, now) in zip(run_key, _run_key(config)):
-        if was != now:
-            raise ValidationError(
-                f"cannot extend: config has {field}={now!r} but the "
-                f"checkpoint was taken with {field}={was!r}"
-            )
-    if data.num_moments != base:
-        raise ValidationError(
-            f"data carries {data.num_moments} moments but the checkpoint "
-            f"stopped at {base}; they must match"
-        )
-    if config.num_moments <= base:
-        raise ValidationError(
-            f"extension target {config.num_moments} must exceed the "
-            f"checkpointed {base} moments"
-        )
-
-
-@dataclass
-class TraceCheckpoint:
-    """Resumable state of a :func:`stochastic_moments` run.
-
-    One :class:`RecursionCheckpoint` per realization, in realization
-    order, and the run's identity (R, S, vector kind, seed, doubling,
-    precision) that an extension must match.  Opaque to callers — hand
-    it back to :func:`extend_stochastic_moments` unchanged.
-    """
-
-    checkpoints: list
-    run_key: tuple
-
-    @property
-    def num_moments(self) -> int:
-        """Orders already produced (0 when the checkpoint list is empty)."""
-        if not self.checkpoints:
-            return 0
-        return int(self.checkpoints[0].num_moments)
-
-
-def _trace(op, config: KPMConfig, states, base: int = 0, advanced=None):
-    """Advance every realization's block from ``states`` to ``config.num_moments``.
-
-    Returns the data of orders ``[base, N)`` and their ``(R*S, N - base)``
-    table of raw per-vector moments; keeps each advanced state only in
-    ``advanced``, so lazy cold ``states`` hold one block's vectors at a time.
-    """
-    n, r = config.num_moments, config.num_random_vectors
-    table = np.empty((config.total_vectors, n - base), dtype=np.float64)
-    for realization, state in enumerate(states):
-        moments, state = _advance(op, state, n)
-        table[realization * r : (realization + 1) * r] = moments
-        if advanced is not None:
-            advanced.append(state)
-        del state  # unless kept, free its vectors before the next block
-    return reduce_moment_table(table, r, op.shape[0]), table
-
-
-def _cold_states(op, config: KPMConfig):
-    """Empty checkpoints of every realization's start block, built lazily."""
+    n, r, dim = config.num_moments, config.num_random_vectors, op.shape[0]
+    run_key = _run_key(config, doubled=config.use_doubling)
+    advanced = RecursionState(run_key, n, None)
+    if keep:
+        advanced = _fresh(run_key, config.total_vectors, dim, n)
+    table = np.empty((config.total_vectors, n - state.num_moments), dtype=np.float64)
     for realization in range(config.num_realizations):
+        vectors = slice(realization * r, (realization + 1) * r)
         block = random_block(
-            op.shape[0], config.num_random_vectors, config.vector_kind,
-            seed=config.seed, realization=realization,
+            dim, r, config.vector_kind, seed=config.seed, realization=realization
         )
         rows = np.ascontiguousarray(block.T)
-        yield RecursionCheckpoint(rows, False, config.use_doubling)
+        table[vectors] = _advance(op, rows, state, advanced, vectors)
+    return reduce_moment_table(table, r, dim), table, advanced
 
 
 def stochastic_moments(
@@ -517,7 +531,7 @@ def stochastic_moments(
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     op = as_operator(operator)
-    data, table = _trace(op, config, _cold_states(op, config))
+    data, table, _ = _trace(op, config, RecursionState((), 0, None), keep=False)
     if not keep_per_vector:
         return data
     per_vector = table.reshape(
@@ -528,32 +542,32 @@ def stochastic_moments(
 
 def stochastic_moments_resumable(
     operator, config: KPMConfig
-) -> tuple[MomentData, TraceCheckpoint]:
-    """:func:`stochastic_moments` plus a :class:`TraceCheckpoint`.
+) -> tuple[MomentData, RecursionState]:
+    """:func:`stochastic_moments` plus the :class:`RecursionState` of the run.
 
     Bit-identical to :func:`stochastic_moments` (both run the same
-    per-realization recursions); the checkpoint lets
-    :func:`extend_stochastic_moments` raise the truncation order later
-    without replaying the recursion from ``mu_0``.
+    per-realization recursions); the state, one ``(R*S, 2, D)`` pair in
+    global vector order, lets :func:`extend_stochastic_moments` (or
+    another resumable engine) raise the truncation order later without
+    replaying the recursion from ``mu_0``.
     """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
-    op = as_operator(operator)
-    checkpoints: list = []
-    data, _ = _trace(op, config, _cold_states(op, config), advanced=checkpoints)
-    return data, TraceCheckpoint(checkpoints=checkpoints, run_key=_run_key(config))
+    data, _, state = _trace(as_operator(operator), config, RecursionState((), 0, None))
+    return data, state
 
 
 def extend_stochastic_moments(
-    operator, config: KPMConfig, data: MomentData, checkpoint: TraceCheckpoint
-) -> tuple[MomentData, TraceCheckpoint]:
-    """Extend a checkpointed stochastic run to ``config.num_moments`` orders.
+    operator, config: KPMConfig, data: MomentData, state: RecursionState
+) -> tuple[MomentData, RecursionState]:
+    """Extend a stochastic run to ``config.num_moments`` orders from ``state``.
 
-    ``data``/``checkpoint`` must come from
-    :func:`stochastic_moments_resumable` (or a previous extension) with
-    the same operator; ``config`` must match the run in every field that
-    decides moment values (R, S, vector kind, seed, doubling, precision),
-    else :class:`ValidationError` names the first that differs.  Only
+    ``data``/``state`` must come from :func:`stochastic_moments_resumable`
+    (or a previous extension, or an engine's ``compute_moments_resumable``
+    that ran the same recursion in float64) with the same operator;
+    ``config`` must match the run in every field that decides moment
+    values (R, S, vector kind, seed, doubling, precision), else
+    :class:`ValidationError` names the first that differs.  Only
     ``config.num_moments`` may change, and must grow.  The result is
     bit-identical to a cold :func:`stochastic_moments` at the new order:
     the stored prefix columns are reused as-is and the new columns are
@@ -564,17 +578,12 @@ def extend_stochastic_moments(
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     if not isinstance(data, MomentData):
         raise ValidationError(f"data must be a MomentData, got {type(data).__name__}")
-    if not isinstance(checkpoint, TraceCheckpoint):
-        raise ValidationError(
-            f"checkpoint must be a TraceCheckpoint, got {type(checkpoint).__name__}"
-        )
     op = as_operator(operator)
-    base = checkpoint.num_moments
-    _check_extension(checkpoint.run_key, base, data, config)
-    advanced: list = []
-    columns, _ = _trace(op, config, checkpoint.checkpoints, base, advanced)
-    extended = data.followed_by(columns)
-    return extended, TraceCheckpoint(checkpoints=advanced, run_key=checkpoint.run_key)
+    run_key = _run_key(config, doubled=config.use_doubling)
+    shape = (config.total_vectors, 2, op.shape[0])
+    _check_resume(state, run_key, shape, config.num_moments, data)
+    columns, _, advanced = _trace(op, config, state)
+    return data.followed_by(columns), advanced
 
 
 def exact_moments(operator, num_moments: int, *, chunk_size: int = 256) -> np.ndarray:

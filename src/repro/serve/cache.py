@@ -14,9 +14,9 @@ entry:
 * ``put`` keeps the *longer* of the stored and offered entries, so an
   extension replaces its prefix and a stale short recompute never
   clobbers a longer table;
-* entries may carry an opaque recursion ``state`` (engine checkpoint),
-  letting the service extend an entry in place by resuming the
-  three-term recursion instead of replaying from ``mu_0`` —
+* entries may carry the :class:`~repro.kpm.moments.RecursionState` of
+  their run, letting the service extend an entry in place by resuming
+  the three-term recursion instead of replaying from ``mu_0`` —
   :meth:`MomentCache.peek_extendable` finds such candidates.
 
 Cached arrays are frozen (``writeable=False``) at insertion: every
@@ -73,9 +73,10 @@ class CacheEntry:
         has no hardware model).  Used for the naive-vs-served
         throughput accounting.
     state:
-        Opaque recursion checkpoint the producing engine can resume
-        from (``None`` when the engine is not resumable).  Only valid
-        at the entry's full stored order, so prefix slices drop it.
+        The :class:`~repro.kpm.moments.RecursionState` the moments were
+        produced up to (``None`` when the engine is not resumable).
+        Only valid at the entry's full stored order, so prefix slices
+        drop it.
     """
 
     moments: object

@@ -8,7 +8,7 @@ coalesced by the deterministic FIFO scheduler at
 moment cache (``N' <= N_cached`` is a hit served as a slice), a
 flush-local forward table (split siblings when the cache is disabled),
 an in-place *extension* of a cached prefix (the engine resumes the
-three-term recursion from its checkpoint instead of replaying from
+three-term recursion from the entry's state instead of replaying from
 ``mu_0``), or one cold engine run per compatible group.  Batches are
 keyed on :func:`repro.serve.moment_identity_key` — the truncation order
 is *not* part of the key, so mixed-``N`` repeats of one workload share a
@@ -99,14 +99,18 @@ class OperatorFacts:
     sparse:
         ``(bounds_method, epsilon) -> scaled operator`` in CSR or ELL
         storage, the one copy a tuner profiles and re-stores for every key.
+    tuned:
+        ``(bounds_method, epsilon, format) -> scaled operator``, the one
+        copy of every key tuned to that format.
     scaled:
         ``moment_identity_key -> (scaled operator, rescaling)``.  The
         operator every compute, extension and price of that key runs
-        on: the shared ``rescaled`` pair, or with a tuner that operator
-        re-stored in the format tuned for the key.
+        on: the shared ``rescaled`` pair, or with a tuner its ``tuned``
+        copy.
     prices:
         Analytic modeled seconds.  ``(slot name, identity key, config)``
-        holds an engine's ``estimate_modeled_seconds``; ``(engine name,
+        holds an engine's ``estimate_modeled_seconds`` (an LDoS key
+        without its site, plus the storage priced); ``(engine name,
         identity key, num_moments)`` holds the naive cost the service
         accrued for that order (see ``SpectralService._naive_cost``).
     """
@@ -114,6 +118,7 @@ class OperatorFacts:
     validated: bool = False
     rescaled: dict = field(default_factory=dict)
     sparse: dict = field(default_factory=dict)
+    tuned: dict = field(default_factory=dict)
     scaled: dict = field(default_factory=dict)
     prices: dict = field(default_factory=dict)
 
@@ -329,7 +334,7 @@ class SpectralService:
         A batch whose key holds a cached low-``N`` prefix is answered
         immediately from the slice (tier 0), then refined: the moments
         are extended by ``growth`` per tier (in-place resume when the
-        entry carries a recursion checkpoint) until the batch's target
+        entry carries a recursion state) until the batch's target
         order is reached or — when ``tolerance`` is set — the
         convergence estimate drops below it (an *early stop*; the final
         answer is then served at the converged order, bit-identical to
@@ -526,7 +531,7 @@ class SpectralService:
         bounds options alone, so one rescale per (fingerprint,
         ``bounds_method``, ``epsilon``) serves every compute, extension,
         naive-cost estimate and gateway admission price of every key on
-        that operator.  With a tuner, the storage is tuned per key.
+        that operator.  With a tuner, keys tuned to one format share a copy.
         """
         facts = self.memo.facts(key[0])
         cached = facts.scaled.get(key[1])
@@ -552,26 +557,28 @@ class SpectralService:
                         else as_format(scaled, "csr")
                     )
                 choice = self.tuner.choose(sparse, config)
-                scaled = self.tuner.prepare_operator(
-                    scaled if choice.format == "dense" else sparse, choice
-                )
-                cached = (scaled, rescaling)
+                tuned = bounds + (choice.format,)
+                if tuned not in facts.tuned:
+                    facts.tuned[tuned] = self.tuner.prepare_operator(
+                        scaled if choice.format == "dense" else sparse, choice
+                    )
+                cached = (facts.tuned[tuned], rescaling)
             facts.scaled[key[1]] = cached
         return cached
 
     def _grow(self, batch: Batch, num_moments: int, forwarded: dict) -> tuple:
         """Grow the batch key's moments to ``num_moments``: the only producer.
 
-        A cached prefix with a recursion checkpoint is resumed — on the
-        host for LDoS, else on the engine that produced it while that
-        engine is in rotation and resumable — so the extended table is
+        A cached prefix with a recursion state is resumed — on the host
+        for LDoS, else on the engine that produced it while that engine
+        is in rotation and resumable — so the extended table is
         bit-identical to that engine's cold run.  Otherwise the moments
         are computed cold: LDoS on the host (the path of
         :func:`repro.kpm.local_dos`), trace requests on the key's
         affinity engine, failing over across the pool on device faults.
-        The entry is cached (with a checkpoint when there is a prefix
-        cache to keep it in — the capture download is not free) and
-        forwarded to sibling batches of this flush.
+        The entry is cached (with its state when there is a prefix cache
+        to keep it in — the capture download is not free) and forwarded
+        to sibling batches of this flush.
 
         Returns ``(entry, source, marginal)``: ``source`` is
         ``"extended"`` or ``"computed"``, ``marginal`` the modeled
@@ -720,16 +727,22 @@ class SpectralService:
         ``None`` when the engine has no ``estimate_modeled_seconds``.  The
         price is keyed by the full config: LDoS identity keys omit fields
         the estimator reads (``R``, ``S``, ``block_size``, ``precision``).
+        An LDoS price drops the site, which the estimate does not read,
+        and keys the storage priced instead.
         """
         estimate = getattr(slot.engine, "estimate_modeled_seconds", None)
         if estimate is None:
             return None
-        prices = self.memo.facts(key[0]).prices
-        price_key = (slot.name, key[1], config)
-        cost = prices.get(price_key)
+        facts = self.memo.facts(key[0])
+        identity = key[1]
+        if identity[0] == "site":
+            scaled = facts.scaled.get(identity) or self._scaled_for_key(key, operator, config)
+            identity = ("site", *identity[2:], type(scaled[0]).__name__)
+        price_key = (slot.name, identity, config)
+        cost = facts.prices.get(price_key)
         if cost is None:
             scaled, _ = self._scaled_for_key(key, operator, config)
-            cost = prices[price_key] = estimate(scaled, config)
+            cost = facts.prices[price_key] = estimate(scaled, config)
         return cost
 
     def _convergence_estimate(self, entry: CacheEntry) -> float:

@@ -161,7 +161,7 @@ class TestExtensionChains:
         assert data.mu.tobytes() == cold.mu.tobytes()
         assert data.per_realization.tobytes() == cold.per_realization.tobytes()
         assert state.num_moments == cold_state.num_moments
-        assert state.data.tobytes() == cold_state.data.tobytes()
+        assert state.pair.tobytes() == cold_state.pair.tobytes()
 
 
 class TestCheckpointChunks:

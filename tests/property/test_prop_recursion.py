@@ -6,8 +6,8 @@ properties pin it from outside, on random symmetric operators scaled
 into ``[-1, 1]`` (CSR with uniform or ragged rows, ELL, dense):
 
 * an extension chain ``N_0 < N_1 < ... < N_k`` concatenates, byte for
-  byte, to the cold run at ``N_k``, and leaves the same checkpoint
-  (``prev``, ``cur``, ``k``) as that cold run;
+  byte, to the cold run at ``N_k``, and leaves the same state (``N``,
+  the per-vector pair and, under doubling, ``mu_1``) as that cold run;
 * the cold run equals, byte for byte, a recursion written in this file:
   a plain loop plus the doubling identities of Weiße et al.
   (arXiv:cond-mat/0504627), with ``float(a @ b)`` for a 1-D start and
@@ -149,9 +149,9 @@ class TestRecursionCore:
         )
         assert np.concatenate(segments).tobytes() == cold.tobytes()
         assert checkpoint.num_moments == cold_checkpoint.num_moments == orders[-1]
-        assert checkpoint.k == cold_checkpoint.k
-        assert same_array(checkpoint.prev, cold_checkpoint.prev)
-        assert same_array(checkpoint.cur, cold_checkpoint.cur)
+        assert checkpoint.run_key == cold_checkpoint.run_key
+        assert same_array(checkpoint.pair, cold_checkpoint.pair)
+        assert same_array(checkpoint.mu1, cold_checkpoint.mu1)
 
     @given(case=recursion_cases())
     @settings(max_examples=200, deadline=None)

@@ -266,7 +266,7 @@ class TestResumableGpu:
                 first_vector=0,
                 num_vectors=bigger.total_vectors,
                 start_moment=state.num_moments,
-                resume_state=state.data,
+                resume_state=state.pair,
                 checkpoint_every=2,
             )
 

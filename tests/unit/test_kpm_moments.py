@@ -318,6 +318,21 @@ class TestResumable:
         reference = moments_block(scaled_chain, block, 21, use_doubling=use_doubling)
         assert np.array_equal(full, reference)
 
+    @pytest.mark.parametrize("layout", ["vector", "fortran-block"])
+    def test_state_keeps_its_start_rows(self, scaled_chain, layout):
+        # The caller reusing its start array leaves the state's run intact.
+        from repro.kpm.moments import extend_recursion, moments_resumable
+
+        rng = np.random.default_rng(3)
+        start = rng.standard_normal(32)
+        if layout == "fortran-block":
+            start = np.asfortranarray(rng.standard_normal((32, 2)))
+        cold = moments_resumable(scaled_chain, start.copy(), 12)[0]
+        _, state = moments_resumable(scaled_chain, start, 7)
+        start[...] = 5.0
+        segment, _ = extend_recursion(scaled_chain, state, 12)
+        assert np.array_equal(segment, cold[7:])
+
     def test_extend_rejects_non_increasing(self, scaled_chain):
         from repro.kpm.moments import extend_recursion, moments_resumable
 

@@ -13,6 +13,7 @@ from repro.serve import (
     GreenRequest,
     FifoCoalesceScheduler,
     Gateway,
+    LDoSRequest,
     TenantPolicy,
     TimedArrival,
     check_equivalence,
@@ -500,6 +501,53 @@ class TestOperatorMemo:
         [served] = gw.pump().values()
         assert served.engine == "gpu-sim"
 
+    def test_ldos_sites_share_one_price_and_one_tuned_copy(self, monkeypatch):
+        # Five sites of one operator, spread over a gpu-sim and a cpu-model
+        # slot (which has no estimator, so prices 0): one gpu-sim estimate
+        # and one CSR -> ELL conversion.  Each admission price is its
+        # slot's fresh estimate and each answer equals local_dos.
+        from repro.gpukpm.pipeline import GpuKPM
+        from repro.kpm import local_dos
+        from repro.sparse import CSRMatrix, ELLMatrix
+
+        estimates = []
+        estimate = GpuKPM.estimate_modeled_seconds
+
+        def counted_estimate(engine, scaled, config):
+            estimates.append(config)
+            return estimate(engine, scaled, config)
+
+        monkeypatch.setattr(GpuKPM, "estimate_modeled_seconds", counted_estimate)
+        conversions = []
+        to_ell = CSRMatrix.to_ell
+
+        def counted_to_ell(matrix, *args, **kwargs):
+            conversions.append(matrix.shape)
+            return to_ell(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(CSRMatrix, "to_ell", counted_to_ell)
+        hamiltonian = paper_cubic_hamiltonian(4, format="csr")
+        config = KPMConfig(num_moments=32, num_random_vectors=4)
+        sites = (0, 5, 9, 17, 40)
+        gw = gateway(
+            template=("gpu-sim", "cpu-model"), min_active=2, tuner=Autotuner()
+        )
+        for site in sites:
+            gw.offer(LDoSRequest(hamiltonian, site=site, config=config))
+        prices = dict(gw._pending)
+        responses = gw.pump()
+        assert len(estimates) == 1
+        assert len(conversions) == 1
+        [(_, facts)] = gw.memo.items()
+        [scaled] = {id(op): op for op, _ in facts.scaled.values()}.values()
+        assert isinstance(scaled, ELLMatrix)
+        fresh = estimate(GpuKPM(), scaled, config)
+        assert sorted(prices.values()) == [0.0, 0.0, fresh, fresh, fresh]
+        for seq, site in enumerate(sites):
+            _, expected = local_dos(hamiltonian, site, config)
+            assert responses[seq].outcome == "served"
+            assert responses[seq].values.tobytes() == expected.tobytes()
+
     def test_memoized_prices_equal_fresh_estimates(self):
         arrivals = timed_trace(
             60, seed=5, tenants=3, duration=6.0, deadline_slack=0.5,
@@ -511,10 +559,16 @@ class TestOperatorMemo:
         slots = {slot.name: slot for slot in gw.pool.slots}
         checked = 0
         for _, facts in gw.memo.items():
+            # An LDoS price is keyed without its site, by the storage priced.
+            priced_on = {
+                ("site", *key[2:], type(scaled).__name__) if key[0] == "site" else key:
+                scaled
+                for key, (scaled, _) in facts.scaled.items()
+            }
             for (name, identity, config), cost in facts.prices.items():
                 if not isinstance(config, KPMConfig):
                     continue  # a naive cost, fixed per (engine, key, order)
-                scaled, _ = facts.scaled[identity]
+                scaled = priced_on[identity]
                 fresh = slots[name].engine.estimate_modeled_seconds(scaled, config)
                 assert cost == fresh
                 checked += 1
