@@ -312,11 +312,10 @@ def crs_vs_dense_ablation(
         nnz = 7 * dim  # six neighbors + stored zero diagonal
         config = PAPER_FIG5_CONFIG.with_updates(num_moments=num_moments)
         gpu_dense = estimate_gpu_kpm_seconds(gpu, dim, config)
-        gpu_csr = estimate_gpu_kpm_seconds(
-            gpu, dim, config, spmv=uniform_csr_model(dim, nnz)
-        )
+        csr = uniform_csr_model(dim, nnz)
+        gpu_csr = estimate_gpu_kpm_seconds(gpu, dim, config, spmv=csr)
         cpu_dense = estimate_cpu_kpm_seconds(cpu, dim, config)
-        cpu_csr = estimate_cpu_kpm_seconds(cpu, dim, config, nnz=nnz)
+        cpu_csr = estimate_cpu_kpm_seconds(cpu, dim, config, storage=csr.storage)
         rows.append(
             (dim, gpu_dense, gpu_csr, gpu_dense / gpu_csr, cpu_dense, cpu_csr)
         )
@@ -660,7 +659,7 @@ def transport_ablation(
             cpu,
             flops=pv.flops,
             bytes_moved=pv.gmem_read_bytes + pv.gmem_write_bytes,
-            footprint_bytes=nnz * 16 + stack_bytes,
+            footprint_bytes=matrices["spmv"].storage.matrix_bytes + stack_bytes,
         )
         memory = plan_conductivity_memory(gpu, dim, config, **matrices)
         rows.append(

@@ -58,7 +58,7 @@ from repro.lattice import (
     square,
     tight_binding_hamiltonian,
 )
-from repro.sparse import read_matrix_market
+from repro.sparse import StorageCost, read_matrix_market
 
 __all__ = ["main", "build_hamiltonian_from_args"]
 
@@ -182,18 +182,18 @@ def _cmd_time(args) -> int:
     hamiltonian = build_hamiltonian_from_args(args)
     config = _config_from_args(args)
     dim = hamiltonian.shape[0]
-    nnz = hamiltonian.nnz_stored if args.storage == "csr" else None
-    # The GPU row prices the operator `dos --backend gpu-sim` would run:
-    # same rescaling, same per-format SpMV model.
+    # Both rows price the operator `dos` runs on that backend: same
+    # rescaling (a shift stores the missing diagonal), same storage.
     scaled, _ = rescale_operator(
         validate_spectral_operator(hamiltonian),
         method=config.bounds_method,
         epsilon=config.epsilon,
     )
+    storage = StorageCost.of(scaled, precision=config.precision)
     rows = [
         (
             "cpu (Core i7 930)",
-            estimate_cpu_kpm_seconds(CORE_I7_930, dim, config, nnz=nnz),
+            estimate_cpu_kpm_seconds(CORE_I7_930, dim, config, storage=storage),
         ),
         (
             "gpu (Tesla C2050)",

@@ -44,7 +44,7 @@ from repro.errors import DeviceError, DeviceLostError, FaultError, ValidationErr
 from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.estimator import gpu_kpm_breakdown
 from repro.gpukpm.pipeline import CheckpointChunk, GpuKPM
-from repro.gpukpm.spmv import _itemsize, _matvec_model
+from repro.gpukpm.spmv import _matvec_model
 from repro.kpm.config import KPMConfig
 from repro.kpm.moments import MomentData, reduce_moment_table
 from repro.trace.tracer import current_tracer
@@ -121,14 +121,13 @@ def broadcast_seconds(
 
     The single source of the broadcast cost formula: the functional
     driver, the analytic estimator, and the recovery accounting all call
-    this helper, so they cannot drift apart.  The payload is the exact
-    per-format upload arrays of ``spmv`` (a
-    :class:`~repro.gpukpm.spmv.SpmvModel`); ``None`` broadcasts the
-    dense ``precision``-sized matrix.
+    this helper, so they cannot drift apart.  The payload is the stored
+    matrix of ``spmv`` (a :class:`~repro.gpukpm.spmv.SpmvModel` of
+    ``precision``); ``None`` broadcasts the dense matrix.
     """
     stages = _tree_stages(num_devices)
-    matrix = _matvec_model(spmv, dimension, _itemsize(precision))
-    return stages * interconnect.message_seconds(float(sum(matrix.upload_bytes)))
+    matrix = _matvec_model(spmv, dimension, precision).storage
+    return stages * interconnect.message_seconds(float(matrix.matrix_bytes))
 
 
 def allreduce_seconds(
@@ -375,7 +374,11 @@ class MultiGpuKPM:
         recovery = 0.0
         tracer = current_tracer()
         broadcast = broadcast_seconds(
-            self.interconnect, dim, self.num_devices, spmv=spmv
+            self.interconnect,
+            dim,
+            self.num_devices,
+            spmv=spmv,
+            precision=config.precision,
         )
 
         with WallTimer() as timer:

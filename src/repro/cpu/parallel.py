@@ -24,10 +24,12 @@ socket rather than one core.
 
 from __future__ import annotations
 
-from repro.cpu.backend import _matvec_terms, cpu_kpm_breakdown
+from repro.cpu.backend import cpu_kpm_breakdown
 from repro.cpu.spec import CORE_I7_930, CpuSpec
 from repro.errors import ValidationError
 from repro.kpm.config import KPMConfig
+from repro.sparse import StorageCost
+from repro.sparse.cost import _priced
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -60,7 +62,7 @@ def estimate_parallel_cpu_kpm_seconds(
     config: KPMConfig | None = None,
     *,
     threads: int = 4,
-    nnz: int | None = None,
+    storage: StorageCost | None = None,
 ) -> float:
     """Modeled KPM wall time on ``threads`` cores of ``spec``.
 
@@ -70,13 +72,15 @@ def estimate_parallel_cpu_kpm_seconds(
     :func:`parallel_speedup_factor`; the memory-bound matvec additionally
     floors at its threads-divided compute time (once bandwidth
     saturates, adding cores still shrinks the arithmetic share).
+    ``storage`` prices the stored ``H~`` as in
+    :func:`~repro.cpu.cpu_kpm_breakdown`; ``None`` is the dense sweep.
     """
     config = KPMConfig() if config is None else config
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     threads = check_positive_int(threads, "threads")
-    breakdown = cpu_kpm_breakdown(spec, dimension, config, nnz=nnz)
-    _, matvec_flops, _ = _matvec_terms(dimension, config.precision, nnz)
+    breakdown = cpu_kpm_breakdown(spec, dimension, config, storage=storage)
+    matvec_flops = _priced(storage, dimension, config.precision).flops
     compute_seconds = (
         config.total_vectors * (config.num_moments - 1) * matvec_flops / spec.peak_flops
     )

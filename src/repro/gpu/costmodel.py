@@ -41,7 +41,6 @@ __all__ = [
     "transfer_cost",
     "gather_miss_fraction",
     "row_imbalance_efficiency",
-    "ell_padding_fraction",
 ]
 
 #: Column offsets within this many elements of the row index are assumed
@@ -197,20 +196,3 @@ def row_imbalance_efficiency(
     mean_passes = math.ceil(row_nnz_mean / granularity)
     max_passes = math.ceil(row_nnz_max / granularity)
     return max(mean_passes, 1) / max(max_passes, 1)
-
-
-def ell_padding_fraction(row_nnz_max: float, row_nnz_mean: float) -> float:
-    """Fraction of ELL slots wasted on padding: ``(max - mean) / max``.
-
-    Every byte and FLOP of the ELL sweep is proportional to
-    ``rows * max_row_nnz``, so this is exactly the traffic overhead the
-    format pays for its perfectly coalesced streams.
-    """
-    if row_nnz_max < row_nnz_mean or row_nnz_mean < 0:
-        raise ValidationError(
-            f"need row_nnz_max >= row_nnz_mean >= 0, got "
-            f"{row_nnz_max}, {row_nnz_mean}"
-        )
-    if row_nnz_max <= 0:
-        return 0.0
-    return (row_nnz_max - row_nnz_mean) / row_nnz_max

@@ -34,11 +34,12 @@ from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
 from repro.gpukpm.kernels import DeviceMatrix
 from repro.gpukpm.pipeline import GpuKPM
-from repro.gpukpm.spmv import _itemsize, _matvec_model
+from repro.gpukpm.spmv import _matvec_model
 from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
 from repro.kpm.random_vectors import random_vector
 from repro.sparse import as_operator
+from repro.sparse.cost import _RNG_FLOPS_PER_ELEMENT, _itemsize
 from repro.timing import TimingReport, WallTimer
 from repro.util.validation import check_positive_int
 
@@ -49,9 +50,6 @@ __all__ = [
     "estimate_gpu_conductivity_seconds",
     "GpuConductivity",
 ]
-
-_RNG_FLOPS_PER_ELEMENT = 4.0
-
 
 def per_vector_conductivity_stats(
     dimension: int,
@@ -68,7 +66,8 @@ def per_vector_conductivity_stats(
     global memory), ``N + 1`` applications of the current operator, and
     the ``2 N^2 D`` Gram contraction.  ``spmv`` and ``current_spmv`` are
     the :class:`~repro.gpukpm.spmv.SpmvModel` of ``H~`` and of the
-    current operator; ``None`` prices a dense matrix.
+    current operator, each of ``dimension`` and ``precision`` (another
+    is refused); ``None`` prices a dense matrix.
     """
     dim = check_positive_int(dimension, "dimension")
     n = check_positive_int(num_moments, "num_moments")
@@ -77,8 +76,8 @@ def per_vector_conductivity_stats(
         1.0 if block_size is None else min(1.0, dim / check_positive_int(block_size, "block_size"))
     )
     vec_bytes = dim * item
-    h = _matvec_model(spmv, dim, item)
-    a = _matvec_model(current_spmv, dim, item)
+    h = _matvec_model(spmv, dim, precision)
+    a = _matvec_model(current_spmv, dim, precision)
 
     flops = _RNG_FLOPS_PER_ELEMENT * dim          # RNG
     read = 0.0
@@ -130,12 +129,13 @@ def plan_conductivity_memory(
 ) -> dict[str, int]:
     """Planned device bytes per buffer (matches the runner's allocations)."""
     plan = plan_grid(config.total_vectors, config.block_size, spec)
-    item = _itemsize(config.precision)
+    precision = config.precision
+    item = _itemsize(precision)
     dim = check_positive_int(dimension, "dimension")
     n = config.num_moments
     return {
-        "hamiltonian": sum(_matvec_model(spmv, dim, item).upload_bytes),
-        "current": sum(_matvec_model(current_spmv, dim, item).upload_bytes),
+        "hamiltonian": _matvec_model(spmv, dim, precision).storage.matrix_bytes,
+        "current": _matvec_model(current_spmv, dim, precision).storage.matrix_bytes,
         "stacks": plan.num_blocks * 2 * n * dim * item,
         "partials": plan.num_blocks * n * n * item,
         "result": n * n * item,
@@ -423,9 +423,8 @@ def estimate_gpu_conductivity_seconds(
 
     uploads = 0.0
     for model in (spmv, current_spmv):
-        uploads += sum(
-            transfer_cost(spec, b) for b in _matvec_model(model, dim, item).upload_bytes
-        )
+        storage = _matvec_model(model, dim, config.precision).storage
+        uploads += sum(transfer_cost(spec, b) for b in storage.upload_bytes)
     download = transfer_cost(spec, n * n * item)
 
     launch_stats = KernelStats(

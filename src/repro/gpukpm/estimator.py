@@ -17,13 +17,14 @@ from repro.errors import ValidationError
 from repro.gpu.costmodel import kernel_cost, transfer_cost
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.spec import TESLA_C2050, GpuSpec
-from repro.gpukpm.spmv import _itemsize, _matvec_model
+from repro.gpukpm.spmv import _matvec_model
 from repro.gpukpm.stats import (
     plan_grid,
     recursion_launch_stats,
     reduce_launch_stats,
 )
 from repro.kpm.config import KPMConfig
+from repro.sparse.cost import _itemsize
 from repro.util.validation import check_positive_int
 
 __all__ = ["gpu_kpm_breakdown", "estimate_gpu_kpm_seconds"]
@@ -39,10 +40,9 @@ def gpu_kpm_breakdown(
     """Modeled seconds per phase of the GPU pipeline.
 
     ``spmv`` (an :class:`repro.gpukpm.spmv.SpmvModel`) describes the
-    stored matrix — upload arrays, SpMV work, and irregular-access
-    penalties all come from the model, matching what the executed
-    pipeline charges for that format.  ``None`` prices the paper's
-    dense sweep.
+    stored matrix — upload arrays (its ``storage``), SpMV work, and
+    irregular-access penalties all come from the model, matching what
+    the executed pipeline charges.  ``None`` prices the dense sweep.
 
     Returns
     -------
@@ -61,8 +61,8 @@ def gpu_kpm_breakdown(
 
     # Transfers: upload H~ (the model's exact array list), download the
     # mu~ table and the reduced moments — matching the pipeline exactly.
-    spmv = _matvec_model(spmv, dim, item)
-    upload = sum(transfer_cost(spec, b) for b in spmv.upload_bytes)
+    spmv = _matvec_model(spmv, dim, config.precision)
+    upload = sum(transfer_cost(spec, b) for b in spmv.storage.upload_bytes)
     download = transfer_cost(spec, total_vectors * num_moments * item)
     download += transfer_cost(spec, num_moments * item)
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.gpu.spec import GpuSpec
-from repro.gpukpm.spmv import _itemsize, _matvec_model
+from repro.gpukpm.spmv import _matvec_model
 from repro.gpukpm.stats import plan_grid
 from repro.kpm.config import KPMConfig
+from repro.sparse.cost import _itemsize
 from repro.util.format import format_bytes
 from repro.util.validation import check_positive_int
 
@@ -91,8 +92,8 @@ def plan_memory(
     """Compute the allocation plan the pipeline will perform.
 
     ``spmv`` is the :class:`~repro.gpukpm.spmv.SpmvModel` the run is
-    charged with (``GpuKPM.last_spmv``); its upload arrays are the
-    matrix allocations.  ``None`` plans the paper's dense buffer.
+    charged with (``GpuKPM.last_spmv``); its storage's upload arrays are
+    the matrix allocations.  ``None`` plans the paper's dense buffer.
     Matches :class:`repro.gpukpm.GpuKPM` byte-for-byte (tests pin this
     against the device pool's peak usage).
     """
@@ -102,7 +103,7 @@ def plan_memory(
     plan = plan_grid(config.total_vectors, config.block_size, spec)
     item = _itemsize(config.precision)
     return MemoryPlan(
-        matrix_bytes=sum(_matvec_model(spmv, dim, item).upload_bytes),
+        matrix_bytes=_matvec_model(spmv, dim, config.precision).storage.matrix_bytes,
         workspace_bytes=plan.num_blocks * 4 * dim * item,
         moment_table_bytes=config.total_vectors * config.num_moments * item,
         moment_result_bytes=config.num_moments * item,

@@ -196,7 +196,7 @@ class GpuKPM:
         already in that storage comes back unchanged), names the buffers
         ``{name}.*``, and hands the host operator's checked sweep plan
         to the :class:`DeviceMatrix`, so no upload builds a pattern.
-        The PCIe transfers match ``spmv.upload_bytes`` exactly, which is
+        The PCIe transfers match ``spmv.storage.upload_bytes`` exactly, which is
         what the estimator prices.
         """
         fmt = spmv.format

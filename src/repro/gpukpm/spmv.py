@@ -1,35 +1,30 @@
 """Per-format SpMV cost models shared by executor, estimator, and tuner.
 
-One :class:`SpmvModel` captures everything the launch accounting needs
-to know about a (storage format, matrix structure) pair: FLOPs and
-global traffic of a single ``H~ @ x``, the achievable-bandwidth
-``coalescing`` factor, the lockstep ``thread_efficiency`` penalty of
-irregular rows, the device-resident matrix bytes (footprint/L2 term),
-and the exact per-array upload sizes.  The executed pipeline charges
-these numbers through :mod:`repro.gpukpm.stats` and the analytic
-estimator prices the same numbers — the estimator-consistency tests pin
-their equality, so the autotuner's scores are exact with respect to
-simulator semantics.
+A :class:`SpmvModel` is the :class:`~repro.sparse.StorageCost` of the
+stored matrix (the description the CPU model prices too) plus the
+device factors of its program: the ``x`` gather's misses, the
+achievable-bandwidth ``coalescing``, the lockstep ``thread_efficiency``
+of irregular rows, and the csr-vector lanes and reduction tree.  The
+executed pipeline charges these numbers through
+:mod:`repro.gpukpm.stats` and the analytic estimator prices the same
+numbers — the estimator-consistency tests pin their equality, so the
+autotuner's scores are exact with respect to simulator semantics.
 
 Formats
 -------
 ``dense``
     Row-per-thread sweep over the full matrix (the paper's measured
-    configuration): ``2 D^2`` FLOPs, ``D^2`` strided loads at
-    ``coalescing = 0.5``.
+    configuration): ``D^2`` strided loads at ``coalescing = 0.5``.
 ``csr``
-    Scalar CSR — one thread walks one row's gather.  Traffic drops to
-    ``O(nnz)`` but the model pays for column-index loads, the
-    ``x[indices]`` gather (:func:`~repro.gpu.costmodel.gather_miss_fraction`)
-    and row-length skew (:func:`~repro.gpu.costmodel.row_imbalance_efficiency`).
+    Scalar CSR — one thread walks one row's gather: ``O(nnz)`` traffic
+    plus the gather's misses and row-length skew.
 ``csr-vector``
     One ``vector_width``-lane warp team per row with a shared-memory
     reduction tree: better coalescing on long rows (lanes read adjacent
     entries), wasted lanes on rows shorter than the team.
 ``ell``
     ELLPACK slots — perfectly coalesced column-major streams
-    (``coalescing = 0.95``) at the price of padding every row to
-    ``max_row_nnz`` (:func:`~repro.gpu.costmodel.ell_padding_fraction`).
+    (``coalescing = 0.95``) at the price of the padded slots.
 
 All formats execute the *canonical contraction order* of
 :mod:`repro.sparse.sweep`, so these models never change numerics — only
@@ -43,6 +38,8 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.gpu.costmodel import gather_miss_fraction, row_imbalance_efficiency
+from repro.sparse.cost import StorageCost, _itemsize, _priced
+from repro.sparse.ell import ELLMatrix
 from repro.sparse.fingerprint import StructureProfile, structure_profile
 from repro.util.validation import check_nonnegative_int, check_positive_int
 
@@ -56,8 +53,6 @@ __all__ = [
     "DENSE_MATVEC_COALESCING",
     "CSR_MATVEC_COALESCING",
 ]
-
-_INDEX = 8
 
 #: Storage formats the block programs implement.
 SPMV_FORMATS = ("dense", "csr", "csr-vector", "ell")
@@ -79,130 +74,80 @@ ELL_COALESCING = 0.95
 CSR_VECTOR_COALESCING_SATURATED = 0.95
 
 
-def _itemsize(precision: str) -> int:
-    if precision == "double":
-        return 8
-    if precision == "single":
-        return 4
-    raise ValidationError(f"precision must be 'double' or 'single', got {precision!r}")
-
-
 @dataclass(frozen=True)
 class SpmvModel:
-    """Cost description of one SpMV under one storage format.
+    """Device cost of one SpMV under one storage format.
 
-    Attributes
-    ----------
-    format:
-        One of :data:`SPMV_FORMATS`.
-    vector_width:
-        Lanes per row (1 except for ``csr-vector``).
-    nnz:
-        Stored entries the format holds (informational; ELL work is
-        priced on padded slots, not on ``nnz``).
-    flops_per_matvec / read_bytes_per_matvec:
-        Work of a single ``H~ @ x`` (reads include matrix, indices, and
-        the ``x`` gather; the output write is charged by the caller).
-    coalescing / thread_efficiency:
-        The irregular-access penalties the roofline consumes.
-    matrix_bytes:
-        Device-resident storage (footprint/L2 term).
-    upload_bytes:
-        Exact per-array PCIe upload sizes, in upload order.
+    ``storage`` is the :class:`~repro.sparse.StorageCost` of the stored
+    matrix; ``format`` is one of :data:`SPMV_FORMATS` (``csr-vector``
+    stores CSR), run with ``vector_width`` lanes per row.
+    ``flops_per_matvec`` adds any reduction tree to the stored-value
+    flops and ``read_bytes_per_matvec`` the ``x`` gather to the matrix
+    bytes (the caller charges the output write); ``coalescing`` and
+    ``thread_efficiency`` are the penalties the roofline consumes.
     """
 
+    storage: StorageCost
     format: str
     vector_width: int
-    nnz: int
     flops_per_matvec: float
     read_bytes_per_matvec: float
     coalescing: float
     thread_efficiency: float
-    matrix_bytes: float
-    upload_bytes: tuple[int, ...]
 
 
-def _gather_bytes(profile: StructureProfile, stored_slots: float, item: int) -> float:
-    """Bytes of the ``x[indices]`` gather: one streaming pass over ``x``
-    plus a miss-rate-scaled extra line per gather beyond the first per
-    element."""
-    base = profile.dimension * item
-    extra = max(0.0, stored_slots - profile.dimension)
-    miss = gather_miss_fraction(profile.dimension, profile.mean_abs_offset)
-    return base + extra * item * miss
-
-
-def _dense_model(dim: int, item: int) -> SpmvModel:
-    matrix_bytes = float(dim * dim * item)
-    return SpmvModel(
-        format="dense",
-        vector_width=1,
-        nnz=dim * dim,
-        flops_per_matvec=2.0 * dim * dim,
-        read_bytes_per_matvec=matrix_bytes + dim * item,
-        coalescing=DENSE_MATVEC_COALESCING,
-        thread_efficiency=1.0,
-        matrix_bytes=matrix_bytes,
-        upload_bytes=(dim * dim * item,),
-    )
-
-
-def _matvec_model(spmv: SpmvModel | None, dim: int, item: int) -> SpmvModel:
-    """``spmv``, or the paper's dense sweep when it is ``None``."""
-    return _dense_model(dim, item) if spmv is None else spmv
-
-
-def _csr_model(
-    profile: StructureProfile, item: int, *, vector_width: int = 1
+def _device_model(
+    storage: StorageCost,
+    profile: StructureProfile | None = None,
+    format: str = "dense",
+    vector_width: int = 1,
 ) -> SpmvModel:
-    dim = profile.dimension
-    nnz = profile.nnz
-    matrix_bytes = float(nnz * (item + _INDEX) + (dim + 1) * _INDEX)
-    read = matrix_bytes + _gather_bytes(profile, nnz, item)
-    efficiency = row_imbalance_efficiency(
-        profile.row_nnz_max, profile.row_nnz_mean, granularity=vector_width
-    )
-    if vector_width == 1:
-        name = "csr"
-        flops = 2.0 * nnz
-        coalescing = CSR_MATVEC_COALESCING
+    """``storage`` with the device factors of ``format`` on ``profile``."""
+    item = _itemsize(storage.precision)
+    # One streaming pass over x, plus a miss-rate-scaled extra line per
+    # read beyond the first per element.
+    gather = storage.dimension * item
+    extra = storage.operand_reads - storage.dimension
+    if extra > 0:
+        miss = gather_miss_fraction(profile.dimension, profile.mean_abs_offset)
+        gather += extra * item * miss
+    flops = storage.flops
+    efficiency = 1.0
+    if format == "dense":
+        coalescing = DENSE_MATVEC_COALESCING
+    elif format == "ell":
+        coalescing = ELL_COALESCING
     else:
-        name = "csr-vector"
-        # Warp-team reduction tree: log2(w) combine steps per row.
-        flops = 2.0 * nnz + dim * math.ceil(math.log2(vector_width))
-        lane_fill = min(1.0, profile.row_nnz_mean / vector_width)
-        coalescing = CSR_MATVEC_COALESCING + (
-            CSR_VECTOR_COALESCING_SATURATED - CSR_MATVEC_COALESCING
-        ) * lane_fill
-        efficiency *= max(lane_fill, 1.0 / vector_width)
+        coalescing = CSR_MATVEC_COALESCING
+        efficiency = row_imbalance_efficiency(
+            profile.row_nnz_max, profile.row_nnz_mean, granularity=vector_width
+        )
+        if format == "csr-vector":
+            # Warp-team reduction tree: log2(w) combine steps per row.
+            flops += storage.dimension * math.ceil(math.log2(vector_width))
+            lane_fill = min(1.0, profile.row_nnz_mean / vector_width)
+            coalescing += (
+                CSR_VECTOR_COALESCING_SATURATED - CSR_MATVEC_COALESCING
+            ) * lane_fill
+            efficiency *= max(lane_fill, 1.0 / vector_width)
+        efficiency = max(efficiency, 1.0 / 32.0)
     return SpmvModel(
-        format=name,
+        storage=storage,
+        format=format,
         vector_width=vector_width,
-        nnz=nnz,
         flops_per_matvec=flops,
-        read_bytes_per_matvec=read,
+        read_bytes_per_matvec=float(storage.matrix_bytes + gather),
         coalescing=coalescing,
-        thread_efficiency=max(efficiency, 1.0 / 32.0),
-        matrix_bytes=matrix_bytes,
-        upload_bytes=(nnz * item, nnz * _INDEX, (dim + 1) * _INDEX),
+        thread_efficiency=efficiency,
     )
 
 
-def _ell_model(profile: StructureProfile, item: int) -> SpmvModel:
-    dim = profile.dimension
-    slots = dim * profile.row_nnz_max  # padded storage
-    matrix_bytes = float(slots * (item + _INDEX))
-    return SpmvModel(
-        format="ell",
-        vector_width=1,
-        nnz=profile.nnz,
-        flops_per_matvec=2.0 * slots,
-        read_bytes_per_matvec=matrix_bytes + _gather_bytes(profile, slots, item),
-        coalescing=ELL_COALESCING,
-        thread_efficiency=1.0,
-        matrix_bytes=matrix_bytes,
-        upload_bytes=(slots * item, slots * _INDEX),
-    )
+def _matvec_model(spmv: SpmvModel | None, dim: int, precision: str) -> SpmvModel:
+    """``spmv`` (checked against the run), or the dense sweep if ``None``."""
+    if spmv is None:
+        return _device_model(StorageCost.dense(dim, precision=precision))
+    _priced(spmv.storage, dim, precision)
+    return spmv
 
 
 def spmv_model_for(
@@ -217,35 +162,33 @@ def spmv_model_for(
     Accepts an operator (anything :func:`repro.sparse.structure_profile`
     handles) or a pre-computed :class:`~repro.sparse.StructureProfile`.
     ``vector_width`` applies only to ``csr-vector`` and must come from
-    :data:`VECTOR_WIDTHS`.
+    :data:`VECTOR_WIDTHS`.  An :class:`~repro.sparse.ELLMatrix` priced
+    as ``ell`` keeps the slot width it stores; any other structure goes
+    onto ELL at its longest row, as ``ELLMatrix.from_csr`` stores it.
     """
     if format not in SPMV_FORMATS:
         raise ValidationError(
             f"format must be one of {SPMV_FORMATS}, got {format!r}"
         )
-    item = _itemsize(precision)
+    if format != "csr-vector":
+        vector_width = 1
+    elif vector_width not in VECTOR_WIDTHS:
+        raise ValidationError(
+            f"vector_width must be one of {VECTOR_WIDTHS}, got {vector_width}"
+        )
+    given = operator_or_profile
     if format == "dense":
         # The dense model needs only the dimension — skip the O(nnz)
         # structure scan (this is the admission-pricing hot path).
-        if isinstance(operator_or_profile, StructureProfile):
-            dim = operator_or_profile.dimension
-        else:
-            dim = int(operator_or_profile.shape[0])
-        return _dense_model(dim, item)
-    profile = (
-        operator_or_profile
-        if isinstance(operator_or_profile, StructureProfile)
-        else structure_profile(operator_or_profile)
-    )
-    if format == "csr":
-        return _csr_model(profile, item)
-    if format == "csr-vector":
-        if vector_width not in VECTOR_WIDTHS:
-            raise ValidationError(
-                f"vector_width must be one of {VECTOR_WIDTHS}, got {vector_width}"
-            )
-        return _csr_model(profile, item, vector_width=vector_width)
-    return _ell_model(profile, item)
+        dim = given.dimension if isinstance(given, StructureProfile) else given.shape[0]
+        return _device_model(StorageCost.dense(dim, precision=precision))
+    profile = given if isinstance(given, StructureProfile) else structure_profile(given)
+    if format == "ell":
+        width = given.width if isinstance(given, ELLMatrix) else profile.row_nnz_max
+        storage = StorageCost.ell(profile.dimension, width, precision=precision)
+    else:
+        storage = StorageCost.csr(profile.dimension, profile.nnz, precision=precision)
+    return _device_model(storage, profile, format, vector_width)
 
 
 def uniform_csr_model(
@@ -263,11 +206,6 @@ def uniform_csr_model(
     """
     dim = check_positive_int(dimension, "dimension")
     nnz = check_nonnegative_int(nnz, "nnz")
-    item = _itemsize(precision)
-    if nnz > dim * dim:
-        raise ValidationError(
-            f"nnz must be at most dimension**2 = {dim * dim}, got {nnz}"
-        )
     uniform = StructureProfile(
         dimension=dim,
         n_cols=dim,
@@ -281,25 +219,10 @@ def uniform_csr_model(
         mean_abs_offset=0.0,
         dtype="float64",
     )
-    return _csr_model(uniform, item)
+    return spmv_model_for(uniform, "csr", precision=precision)
 
 
-def default_spmv_format(operator) -> str:
-    """Storage-preserving default when no tuner is consulted.
-
-    Mirrors what the operator already stores: CSR runs the scalar CSR
-    program, ELL its slot program, everything else the dense sweep —
-    the pre-tuner pipeline behavior, now with honest per-format pricing.
-    """
-    from repro.sparse.csr import CSRMatrix
-    from repro.sparse.ell import ELLMatrix
-
-    if not hasattr(operator, "shape"):
-        raise ValidationError(
-            f"operator must expose .shape, got {type(operator).__name__}"
-        )
-    if isinstance(operator, ELLMatrix):
-        return "ell"
-    if isinstance(operator, CSRMatrix):
-        return "csr"
-    return "dense"
+def default_spmv_format(operator) -> str:  # repro: noqa[RA005] -- StorageCost.of validates
+    """Storage-preserving default when no tuner is consulted: the
+    format of :meth:`StorageCost.of <repro.sparse.StorageCost.of>`."""
+    return StorageCost.of(operator).format

@@ -22,8 +22,8 @@ dot (x dots)      ``2 D``                 read ``2 item D``, write ``item``
 
 The matvec row — its work, ``coalescing`` and ``thread_efficiency`` —
 is read from the :class:`~repro.gpukpm.spmv.SpmvModel` of the stored
-matrix; ``spmv=None`` is the paper's dense sweep
-(``spmv_model_for(H, "dense")``).  Two prologues cover every launch:
+matrix, the footprint from its :class:`~repro.sparse.StorageCost`;
+``spmv=None`` is the paper's dense sweep.  Two prologues cover every launch:
 
 * a cold run has ``(load, steps, dots) = (0, N - 1, N)``;
 * a resume from order ``s`` regenerates ``|r>`` from its Philox stream
@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from repro.errors import LaunchError, ValidationError
 from repro.gpu.kernel import KernelStats
 from repro.gpu.spec import GpuSpec
-from repro.gpukpm.spmv import _itemsize, _matvec_model
+from repro.gpukpm.spmv import _matvec_model
+from repro.sparse.cost import _RNG_FLOPS_PER_ELEMENT, _itemsize
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -51,9 +52,6 @@ __all__ = [
     "recursion_launch_stats",
     "reduce_launch_stats",
 ]
-
-_RNG_FLOPS_PER_ELEMENT = 4.0
-
 
 @dataclass(frozen=True)
 class GridPlan:
@@ -135,7 +133,7 @@ def per_vector_recursion_stats(
                 f"vectors are checkpointed), got {start} and {n}"
             )
         load, steps, dots = 2.0 * vec_bytes, n - start, n - start
-    matvec = _matvec_model(spmv, dim, item)
+    matvec = _matvec_model(spmv, dim, precision)
     return KernelStats(
         flops=_RNG_FLOPS_PER_ELEMENT * dim
         + steps * (matvec.flops_per_matvec + 2.0 * dim)
@@ -167,7 +165,7 @@ def recursion_footprint_bytes(
     item = _itemsize(precision)
     active_blocks = min(plan.num_blocks, spec.sm_count)
     return (
-        _matvec_model(spmv, dim, item).matrix_bytes
+        _matvec_model(spmv, dim, precision).storage.matrix_bytes
         + active_blocks * 4.0 * dim * item
     )
 

@@ -22,13 +22,16 @@ one exact conversion between them.
 
 :func:`structure_profile` / :func:`structure_fingerprint` extract the
 value-independent structural statistics (density, bandwidth, row-nnz
-distribution) that key the autotuner's cache.
+distribution) that key the autotuner's cache.  :class:`StorageCost` is
+what one product costs in each storage (bytes, flops, operand reads),
+the one description the CPU and GPU cost models both price.
 """
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dense import DenseOperator
 from repro.sparse.ell import ELLMatrix
+from repro.sparse.cost import StorageCost
 from repro.sparse.fingerprint import (
     StructureProfile,
     structure_fingerprint,
@@ -43,6 +46,7 @@ __all__ = [
     "DenseOperator",
     "ELLMatrix",
     "LinearOperatorProtocol",
+    "StorageCost",
     "StructureProfile",
     "as_format",
     "as_operator",

@@ -98,6 +98,31 @@ class TestTimeCommand:
         )
 
 
+    def test_cpu_row_prices_the_cpu_model_run(self, tmp_path, monkeypatch):
+        # a_00 = 1.5 shifts the spectrum, so rescaling stores the missing
+        # diagonal: the run sweeps 192 entries where the file holds 129.
+        import repro.cli as cli
+        from repro import KPMConfig, compute_dos
+        from repro.lattice import chain, tight_binding_hamiltonian
+        from repro.sparse import CSRMatrix, read_matrix_market, write_matrix_market
+
+        dense = tight_binding_hamiltonian(chain(64), format="csr").to_dense()
+        dense[0, 0] = 1.5
+        path = tmp_path / "shifted.mtx"
+        write_matrix_market(CSRMatrix.from_dense(dense), str(path))
+        tables = []
+        monkeypatch.setattr(
+            cli, "ascii_table", lambda columns, rows: tables.append(dict(rows)) or ""
+        )
+        code = main(["time", "--matrix", str(path), "-N", "64", "-R", "4", "-S", "1"])
+        assert code == 0
+        config = KPMConfig(num_moments=64, num_random_vectors=4, num_realizations=1)
+        run = compute_dos(read_matrix_market(str(path)), config, backend="cpu-model")
+        assert tables[0]["cpu (Core i7 930)"] == pytest.approx(
+            run.timing.modeled_seconds, rel=1e-12
+        )
+
+
 class TestBenchCommand:
     def test_single_figure(self, capsys):
         code = main(["bench", "fig5", "--no-plots"])

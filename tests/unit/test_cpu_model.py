@@ -16,7 +16,8 @@ from repro.cpu import (
 )
 from repro.errors import ValidationError
 from repro.kpm import KPMConfig, rescale_operator, stochastic_moments
-from repro.lattice import chain, tight_binding_hamiltonian
+from repro.lattice import chain, cubic, tight_binding_hamiltonian
+from repro.sparse import StorageCost
 
 from repro.cpu.backend import cpu_kpm_breakdown as breakdown_fn
 
@@ -123,7 +124,9 @@ class TestKpmBreakdown:
     def test_csr_much_cheaper(self):
         config = KPMConfig(num_moments=64, num_random_vectors=4)
         dense = estimate_cpu_kpm_seconds(CORE_I7_930, 1000, config)
-        sparse = estimate_cpu_kpm_seconds(CORE_I7_930, 1000, config, nnz=7000)
+        sparse = estimate_cpu_kpm_seconds(
+            CORE_I7_930, 1000, config, storage=StorageCost.csr(1000, 7000)
+        )
         assert sparse < dense / 10
 
     def test_requires_spec(self):
@@ -143,7 +146,10 @@ class TestCpuModelEngine:
         scaled, _ = rescale_operator(chain_csr)
         _, report = CpuModelEngine().compute_moments(scaled, small_config)
         expected = estimate_cpu_kpm_seconds(
-            CORE_I7_930, chain_csr.shape[0], small_config, nnz=chain_csr.nnz_stored
+            CORE_I7_930,
+            chain_csr.shape[0],
+            small_config,
+            storage=StorageCost.csr(chain_csr.shape[0], chain_csr.nnz_stored),
         )
         assert report.modeled_seconds == pytest.approx(expected)
 
@@ -152,6 +158,46 @@ class TestCpuModelEngine:
         _, report = CpuModelEngine().compute_moments(scaled, small_config)
         expected = estimate_cpu_kpm_seconds(CORE_I7_930, 64, small_config)
         assert report.modeled_seconds == pytest.approx(expected)
+
+    def test_ell_operator_priced_in_its_padded_slots(self):
+        # Open 8^3 cube: 3,200 stored entries, but ELL holds 512 rows x 7
+        # slots, so each matvec costs 7,168 flops over 57,344 matrix
+        # bytes (CSR would be 6,400 over 55,304).
+        scaled, _ = rescale_operator(
+            tight_binding_hamiltonian(cubic(8, periodic=False), format="csr")
+        )
+        ell = scaled.to_ell()
+        storage = StorageCost.of(ell)
+        assert (storage.flops, storage.matrix_bytes) == (7168.0, 57344)
+        config = KPMConfig(
+            num_moments=64, num_random_vectors=4, num_realizations=1, seed=1
+        )
+        _, report = CpuModelEngine().compute_moments(ell, config)
+        item, dim = 8, 512
+        per_matvec = phase_time(
+            CORE_I7_930,
+            flops=7168.0,
+            bytes_moved=57344 + 7 * dim * item + dim * item,
+            footprint_bytes=57344 + 4 * dim * item,
+        )
+        assert report.breakdown["matvec"] == 4 * 63 * per_matvec
+        csr_priced = estimate_cpu_kpm_seconds(
+            CORE_I7_930, dim, config, storage=StorageCost.of(scaled)
+        )
+        assert report.modeled_seconds > csr_priced
+
+    def test_storage_of_another_run_refused(self, small_config):
+        with pytest.raises(ValidationError, match="dimension=100"):
+            estimate_cpu_kpm_seconds(
+                CORE_I7_930, 64, small_config, storage=StorageCost.csr(100, 700)
+            )
+        with pytest.raises(ValidationError, match="precision='single'"):
+            estimate_cpu_kpm_seconds(
+                CORE_I7_930,
+                64,
+                small_config,
+                storage=StorageCost.dense(64, precision="single"),
+            )
 
     def test_breakdown_sums_to_total(self, chain_csr, small_config):
         scaled, _ = rescale_operator(chain_csr)

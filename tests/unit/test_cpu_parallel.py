@@ -11,6 +11,7 @@ from repro.cpu import (
 )
 from repro.errors import ValidationError
 from repro.kpm import KPMConfig
+from repro.sparse import StorageCost
 
 
 class TestSpeedupFactor:
@@ -61,9 +62,10 @@ class TestParallelEstimate:
         assert four == pytest.approx(one / 4, rel=0.05)
 
     def test_csr_path(self, config):
-        serial = estimate_cpu_kpm_seconds(CORE_I7_930, 1000, config, nnz=7000)
+        csr = StorageCost.csr(1000, 7000)
+        serial = estimate_cpu_kpm_seconds(CORE_I7_930, 1000, config, storage=csr)
         parallel = estimate_parallel_cpu_kpm_seconds(
-            CORE_I7_930, 1000, config, threads=4, nnz=7000
+            CORE_I7_930, 1000, config, threads=4, storage=csr
         )
         assert parallel < serial
 

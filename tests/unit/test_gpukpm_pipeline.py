@@ -14,7 +14,7 @@ from repro.gpukpm import (
 )
 from repro.kpm import KPMConfig, get_engine, rescale_operator, stochastic_moments
 from repro.lattice import chain, cubic, paper_cubic_hamiltonian, tight_binding_hamiltonian
-from repro.sparse import CSRMatrix, sweep
+from repro.sparse import CSRMatrix, ELLMatrix, sweep
 from repro.tune import Autotuner
 
 
@@ -106,6 +106,25 @@ class TestTimingAndResources:
         plan = plan_memory(
             TESLA_C2050, scaled_cube.shape[0], config, spmv=runner.last_spmv
         )
+        assert runner.last_device.memory.peak_bytes == plan.total_bytes
+
+    def test_memory_plan_of_ell_wider_than_its_longest_row(self, small_config):
+        # Two all-padding slot columns are still uploaded; the plan
+        # counts them.
+        scaled, _ = rescale_operator(tight_binding_hamiltonian(cubic(4), format="csr"))
+        ell = scaled.to_ell()
+        pad = np.zeros((ell.shape[0], 2))
+        wide = ELLMatrix(
+            np.hstack([ell.data, pad]),
+            np.hstack([ell.indices, pad.astype(np.int64)]),
+            ell.row_nnz,
+            ell.shape,
+        )
+        config = small_config.with_updates(num_moments=16)
+        runner = GpuKPM()
+        runner.compute_moments(wide, config)
+        plan = plan_memory(TESLA_C2050, 64, config, spmv=runner.last_spmv)
+        assert plan.matrix_bytes == 64 * wide.width * 16
         assert runner.last_device.memory.peak_bytes == plan.total_bytes
 
     def test_two_kernel_launches(self, scaled_cube, small_config):

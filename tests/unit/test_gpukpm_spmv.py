@@ -7,11 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.gpu import TESLA_C2050
-from repro.gpu.costmodel import (
-    ell_padding_fraction,
-    gather_miss_fraction,
-    row_imbalance_efficiency,
-)
+from repro.gpu.costmodel import gather_miss_fraction, row_imbalance_efficiency
 from repro.gpukpm import (
     SPMV_FORMATS,
     VECTOR_WIDTHS,
@@ -38,19 +34,19 @@ class TestDenseModel:
         assert model.format == "dense"
         assert model.vector_width == 1
         assert model.flops_per_matvec == 200.0
-        assert model.matrix_bytes == 100 * 8
+        assert model.storage.matrix_bytes == 100 * 8
         assert model.read_bytes_per_matvec == 100 * 8 + 10 * 8
-        assert model.upload_bytes == (100 * 8,)
+        assert model.storage.upload_bytes == (100 * 8,)
 
     def test_single_precision_halves_value_bytes(self):
         double = spmv_model_for(np.eye(10), "dense")
         single = spmv_model_for(np.eye(10), "dense", precision="single")
-        assert single.matrix_bytes == double.matrix_bytes / 2
+        assert single.storage.matrix_bytes == double.storage.matrix_bytes / 2
 
     def test_accepts_profile_without_structure_scan(self, lattice_csr):
         profile = structure_profile(lattice_csr)
         model = spmv_model_for(profile, "dense")
-        assert model.matrix_bytes == 27 * 27 * 8
+        assert model.storage.matrix_bytes == 27 * 27 * 8
 
 
 class TestCsrModels:
@@ -58,10 +54,10 @@ class TestCsrModels:
         nnz, dim = lattice_csr.nnz_stored, 27
         model = spmv_model_for(lattice_csr, "csr")
         assert model.format == "csr"
-        assert model.nnz == nnz
+        assert model.storage.operand_reads == nnz
         assert model.flops_per_matvec == 2.0 * nnz
-        assert model.matrix_bytes == nnz * (8 + _INDEX) + (dim + 1) * _INDEX
-        assert model.upload_bytes == (nnz * 8, nnz * _INDEX, (dim + 1) * _INDEX)
+        assert model.storage.matrix_bytes == nnz * (8 + _INDEX) + (dim + 1) * _INDEX
+        assert model.storage.upload_bytes == (nnz * 8, nnz * _INDEX, (dim + 1) * _INDEX)
 
     def test_uniform_rows_have_full_thread_efficiency(self, lattice_csr):
         assert spmv_model_for(lattice_csr, "csr").thread_efficiency == 1.0
@@ -86,8 +82,7 @@ class TestCsrModels:
             scalar.flops_per_matvec + 27 * math.ceil(math.log2(4))
         )
         # Same storage, so identical uploads and footprint.
-        assert vector.upload_bytes == scalar.upload_bytes
-        assert vector.matrix_bytes == scalar.matrix_bytes
+        assert vector.storage == scalar.storage
 
     def test_wide_teams_on_short_rows_waste_lanes(self, lattice_csr):
         # cubic rows hold 7 entries: a 32-lane team mostly idles.
@@ -107,15 +102,16 @@ class TestEllModel:
         slots = 6 * 6  # rows x max_row_nnz, padding included
         assert model.format == "ell"
         assert model.flops_per_matvec == 2.0 * slots
-        assert model.matrix_bytes == slots * (8 + _INDEX)
-        assert model.upload_bytes == (slots * 8, slots * _INDEX)
-        assert model.nnz == csr.nnz_stored == 11  # informational, unpadded
+        assert model.storage.matrix_bytes == slots * (8 + _INDEX)
+        assert model.storage.upload_bytes == (slots * 8, slots * _INDEX)
+        assert model.storage.operand_reads == slots  # padding included
+        assert csr.nnz_stored == 11
 
     def test_uniform_rows_beat_csr_on_reads(self, lattice_csr):
         # No padding and no indptr array: strictly fewer bytes.
         ell = spmv_model_for(lattice_csr, "ell")
         csr = spmv_model_for(lattice_csr, "csr")
-        assert ell.matrix_bytes < csr.matrix_bytes
+        assert ell.storage.matrix_bytes < csr.storage.matrix_bytes
         assert ell.coalescing > csr.coalescing
 
 
@@ -191,10 +187,3 @@ class TestCostModelHelpers:
             row_imbalance_efficiency(6, 3, granularity=0)
         with pytest.raises(ValidationError):
             row_imbalance_efficiency(2, 3)
-
-    def test_ell_padding_fraction(self):
-        assert ell_padding_fraction(6, 6) == 0.0
-        assert ell_padding_fraction(0, 0) == 0.0
-        assert ell_padding_fraction(4, 3) == pytest.approx(0.25)
-        with pytest.raises(ValidationError):
-            ell_padding_fraction(2, 3)
